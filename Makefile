@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench serve fuzz fuzz-short ci bench-json bench-load bench-load-smoke bench-solver bench-solver-smoke bench-corpus bench-corpus-smoke bench-queue bench-queue-smoke bench-cluster bench-cluster-smoke bench-sync bench-sync-smoke bench-memostore bench-memostore-smoke
+.PHONY: build test race vet bench serve fuzz fuzz-short ci bench-json bench-load bench-load-smoke bench-solver bench-solver-smoke bench-corpus bench-corpus-smoke bench-queue bench-queue-smoke bench-cluster bench-cluster-smoke bench-memostore bench-memostore-smoke perfbench-test
 
 build:
 	$(GO) build ./...
@@ -51,10 +51,18 @@ fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzQueueDecode -fuzztime 20s ./internal/queue/
 
 # The CI gate: vet, the full suite under the race detector, the short
-# fuzz pass, then the load-, solver-, corpus- and queue-suite smokes
-# (results to throwaway dirs so the committed bench/ numbers stay the
-# curated ones).
-ci: test fuzz-short bench-load-smoke bench-solver-smoke bench-corpus-smoke bench-queue-smoke bench-cluster-smoke bench-sync-smoke bench-memostore-smoke
+# fuzz pass, the serving benchmark's own vet and tests, then the
+# load-, solver-, corpus-, queue-, cluster- and memo-store-suite
+# smokes (results to throwaway dirs so the committed bench/ numbers
+# stay the curated ones). Delta replication's wire-cost floor runs in
+# the cluster package's tests (TestSyncNearlyConvergedWireCost).
+ci: test fuzz-short perfbench-test bench-load-smoke bench-solver-smoke bench-corpus-smoke bench-queue-smoke bench-cluster-smoke bench-memostore-smoke
+
+# The serving benchmark (perfbench/) is its own module, so the root
+# go test ./... never builds it: vet and test it here, so an internal
+# API change cannot break the benchmark unnoticed.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Machine-readable micro-benchmarks (ns/op, allocs/op) for tracking
 # the perf trajectory across PRs; writes bench/BENCH_<suite>.json.
@@ -74,7 +82,8 @@ bench-load-smoke:
 	$(GO) run ./cmd/rtbench -load $$(mktemp -d)
 
 # Exact-search pruner suite: refutation-heavy E2/E3/E4 rows, pruners
-# off vs on, both memo sharing modes; writes bench/BENCH_exact_prune.json.
+# off vs on, plus a 4-worker shared-table row; writes
+# bench/BENCH_exact_prune.json.
 bench-solver:
 	$(GO) run ./cmd/rtbench -solver bench
 
@@ -119,23 +128,10 @@ bench-cluster:
 	$(GO) run ./cmd/rtbench -cluster bench
 
 # Cluster suite into a throwaway directory — the CI smoke that drives
-# sharded routing, segment replication, and owner-failure fallback end
+# sharded routing, Merkle replication, and owner-failure fallback end
 # to end without touching committed results.
 bench-cluster-smoke:
 	$(GO) run ./cmd/rtbench -cluster $$(mktemp -d)
-
-# Delta-replication suite: nearly-converged two-node fleets (10k
-# records, 1-32 divergent) synced to convergence over whole-bucket
-# pulls vs Merkle narrowing, comparing bytes on the wire; writes
-# bench/BENCH_sync.json. A reduction below 10x fails the run.
-bench-sync:
-	$(GO) run ./cmd/rtbench -sync bench
-
-# Sync suite into a throwaway directory — the CI smoke that drives
-# both replication protocols to byte-identical manifests (including
-# the 10x acceptance floor) without touching committed results.
-bench-sync-smoke:
-	$(GO) run ./cmd/rtbench -sync $$(mktemp -d)
 
 # Memo store suite: hard-NO 3-PARTITION classes solved cold with a
 # store attached, the service restarted, and perturbed near-miss

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -228,10 +229,9 @@ func writeClusterJSON(dir string) error {
 	}
 	syncWall := time.Since(syncStart)
 	converged := true
-	ref, _ := json.Marshal(nodes[0].st.Manifest())
+	ref, _ := nodes[0].st.Digests("", 1, true, true)
 	for _, n := range nodes[1:] {
-		m, _ := json.Marshal(n.st.Manifest())
-		if string(m) != string(ref) {
+		if top, _ := n.st.Digests("", 1, true, true); !slices.Equal(top, ref) {
 			converged = false
 		}
 	}

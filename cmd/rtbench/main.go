@@ -10,9 +10,9 @@
 // the bounded exact-search admission — and writes p50/p95/p99 latency
 // plus throughput to DIR/BENCH_service_load.json. With -solver DIR it
 // runs the exact-search pruner suite — the refutation-heavy E2/E3/E4
-// rows, pruners off vs. on, plus both transposition-table sharing
-// modes — and writes node counts, cut tallies and wall time to
-// DIR/BENCH_exact_prune.json. With -corpus DIR it draws -corpus-n
+// rows, pruners off vs. on, plus a 4-worker run over the shared
+// transposition table — and writes node counts, cut tallies and wall
+// time to DIR/BENCH_exact_prune.json. With -corpus DIR it draws -corpus-n
 // distinct random layered-DAG classes and runs the whole set through
 // the admission pipeline with the analytic tier off and on, writing
 // per-tier decision fractions, the exact-search work saved, and a
@@ -26,12 +26,7 @@
 // acceptance scenario — seed on owners, one anti-entropy round,
 // warm serves from every non-owner with zero new searches, then a
 // kill-one-owner burst with zero failed requests — writing
-// DIR/BENCH_cluster.json. With -sync DIR it measures delta
-// replication — nearly-converged two-node fleets (10k records, 1–32
-// divergent) synced to convergence over the whole-bucket protocol and
-// over Merkle narrowing, comparing bytes on the wire — writing
-// DIR/BENCH_sync.json and failing hard if narrowing moves less than
-// 10x fewer bytes. With -memostore DIR it runs the durable
+// DIR/BENCH_cluster.json. With -memostore DIR it runs the durable
 // refutation-cache near-miss suite — hard-NO 3-PARTITION classes
 // solved cold with a store attached, the service restarted, and
 // perturbed near-miss variants replayed warm from the persisted
@@ -42,7 +37,7 @@
 //
 //	rtbench [-only E3] [-workers N] [-json DIR] [-load DIR] [-solver DIR]
 //	        [-corpus DIR [-corpus-n N] [-corpus-seed S]] [-queue DIR] [-cluster DIR]
-//	        [-sync DIR] [-memostore DIR [-memostore-n N]]
+//	        [-memostore DIR [-memostore-n N]]
 package main
 
 import (
@@ -62,7 +57,6 @@ func main() {
 	corpusDir := flag.String("corpus", "", "run the random-DAG corpus suite and write BENCH_corpus.json to this directory")
 	queueDir := flag.String("queue", "", "run the async-queue cold-burst suite and write BENCH_queue.json to this directory")
 	clusterDir := flag.String("cluster", "", "run the 3-node cluster replication suite and write BENCH_cluster.json to this directory")
-	syncDir := flag.String("sync", "", "run the delta-replication suite and write BENCH_sync.json to this directory")
 	corpusN := flag.Int("corpus-n", 2000, "distinct isomorphism classes to draw for -corpus")
 	corpusSeed := flag.Int64("corpus-seed", 1, "generator seed for -corpus")
 	memoDir := flag.String("memostore", "", "run the durable refutation-cache near-miss suite and write BENCH_memo_store.json to this directory")
@@ -78,13 +72,6 @@ func main() {
 	}
 	if *clusterDir != "" {
 		if err := writeClusterJSON(*clusterDir); err != nil {
-			fmt.Fprintf(os.Stderr, "rtbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *syncDir != "" {
-		if err := writeSyncJSON(*syncDir); err != nil {
 			fmt.Fprintf(os.Stderr, "rtbench: %v\n", err)
 			os.Exit(1)
 		}

@@ -17,15 +17,14 @@ import (
 // refutation-heavy row from E2/E3/E4 is solved twice — pruners off
 // (the seed engine) and pruners on (the PR-5 default) — and the node
 // counts, per-pruner cut tallies and wall time land in
-// DIR/BENCH_exact_prune.json. A pair of Workers=4 rows additionally
-// compares the two transposition-table sharing modes.
+// DIR/BENCH_exact_prune.json. A Workers=4 row additionally runs the
+// heaviest refutation over the shared striped transposition table.
 
 // solverRow is one (instance, configuration) measurement.
 type solverRow struct {
 	Name             string `json:"name"`
 	Pruners          string `json:"pruners"` // "on" | "off"
 	Workers          int    `json:"workers"`
-	MemoMode         string `json:"memo_mode,omitempty"` // "shared" | "per-worker" (parallel rows)
 	Feasible         bool   `json:"feasible"`
 	NodesExplored    int    `json:"nodes_explored"`
 	Candidates       int    `json:"candidates"`
@@ -119,7 +118,7 @@ func solverInstances() ([]solverInstance, error) {
 	return out, nil
 }
 
-func solveRow(inst solverInstance, opt exact.Options, pruners, memoMode string) (solverRow, error) {
+func solveRow(inst solverInstance, opt exact.Options, pruners string) (solverRow, error) {
 	start := time.Now()
 	s, st, err := exact.FindSchedule(inst.m, opt)
 	elapsed := time.Since(start)
@@ -134,7 +133,6 @@ func solveRow(inst solverInstance, opt exact.Options, pruners, memoMode string) 
 		Name:             inst.name,
 		Pruners:          pruners,
 		Workers:          workers,
-		MemoMode:         memoMode,
 		Feasible:         s != nil,
 		NodesExplored:    st.NodesExplored,
 		Candidates:       st.Candidates,
@@ -157,11 +155,11 @@ func writeSolverJSON(dir string) error {
 	for _, inst := range instances {
 		off := inst.opt
 		off.DisableSymmetry, off.DisableMemo, off.DisableBounds = true, true, true
-		rowOff, err := solveRow(inst, off, "off", "")
+		rowOff, err := solveRow(inst, off, "off")
 		if err != nil {
 			return err
 		}
-		rowOn, err := solveRow(inst, inst.opt, "on", "")
+		rowOn, err := solveRow(inst, inst.opt, "on")
 		if err != nil {
 			return err
 		}
@@ -170,26 +168,19 @@ func writeSolverJSON(dir string) error {
 		}
 		rows = append(rows, rowOff, rowOn)
 	}
-	// transposition-table sharing modes under a parallel search, on
-	// the heaviest refutation row
+	// the shared transposition table under a parallel search, on the
+	// heaviest refutation row
 	for _, inst := range instances {
 		if inst.name != "e3-NO" {
 			continue
 		}
-		for _, perWorker := range []bool{false, true} {
-			opt := inst.opt
-			opt.Workers = 4
-			opt.MemoPerWorker = perWorker
-			mode := "shared"
-			if perWorker {
-				mode = "per-worker"
-			}
-			row, err := solveRow(inst, opt, "on", mode)
-			if err != nil {
-				return err
-			}
-			rows = append(rows, row)
+		opt := inst.opt
+		opt.Workers = 4
+		row, err := solveRow(inst, opt, "on")
+		if err != nil {
+			return err
 		}
+		rows = append(rows, row)
 	}
 	doc := solverSuite{
 		Suite:      "exact_prune",

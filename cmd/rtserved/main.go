@@ -25,8 +25,17 @@
 //	GET  /job/<id>            JSON job status; ?wait=10s long-polls
 //	GET  /metrics             plain-text service counters
 //	GET  /healthz             liveness probe
-//	GET  /cluster/manifest    store manifest (cluster mode + store)
-//	GET  /cluster/segment/<b> one sealed store segment (ditto)
+//
+// Cluster replication endpoints (cluster mode with a store):
+//
+//	GET  /cluster/digests/<p>  Merkle digests of prefix p's children
+//	                           (?tier=v|m selects one tier; the empty
+//	                           prefix is the top level)
+//	GET  /cluster/leaf/<p>     one leaf's fingerprint set
+//	POST /cluster/fetch        body: JSON fingerprint array; response:
+//	                           those records as a sealed segment
+//	GET  /cluster/memoleaf/<p> one leaf's memo classes as a sealed
+//	                           segment
 //
 // Identical workloads — up to element renaming and constraint
 // reordering — share one cache entry, so repeated POSTs of isomorphic
@@ -61,9 +70,10 @@
 // cluster: requests hash to an owning node by canonical fingerprint
 // (consistent hashing), non-owners proxy to the owner (one hop max)
 // and fall back to a local solve when the owner is down, and — when a
-// store is attached — an anti-entropy loop pulls missing sealed
-// segments from peers every -sync-interval, so any node's decided
-// outcome warms the whole fleet. Replication is trustless: every
+// store is attached — an anti-entropy loop walks each peer's Merkle
+// tree every -sync-interval and pulls the records and memo leaves
+// that differ, so any node's decided outcome warms the whole fleet.
+// Replication is trustless: every
 // pulled record is CRC-checked, re-validated, and re-verified against
 // the requesting model before it is ever served, so a corrupt or
 // malicious segment costs a miss, never a wrong schedule.

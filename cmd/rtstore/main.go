@@ -14,10 +14,10 @@
 //	rtstore -dir DIR [-depth N] diff DIR2  compare two stores' digests, list one-sided records
 //
 // manifest prints the same digests rtserved exposes at
-// /cluster/manifest, so an operator can compare a node's disk state
+// /cluster/digests/, so an operator can compare a node's disk state
 // against the fleet by hand. -depth widens the view from the default
-// 16-bucket manifest (depth 1) down to Merkle leaves (depth 3) — the
-// same narrowing levels the syncer walks. diff exits non-zero when
+// top level of the Merkle tree (depth 1, full-width digests) down to
+// its leaves (depth 3) — the same levels the syncer walks. diff exits non-zero when
 // the stores differ, so it doubles as a replication-convergence probe.
 //
 // Opening a store performs recovery: a torn or corrupt tail is
@@ -48,7 +48,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("rtstore", flag.ContinueOnError)
 	dir := fs.String("dir", "", "schedule store directory")
-	depth := fs.Int("depth", 1, fmt.Sprintf("digest depth for manifest/diff: 1 (buckets) to %d (Merkle leaves)", store.MerkleDepth))
+	depth := fs.Int("depth", 1, fmt.Sprintf("digest depth for manifest/diff: 1 (top level) to %d (Merkle leaves)", store.MerkleDepth))
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -25,18 +25,6 @@ const ForwardHeader = "X-Rtm-Forwarded"
 // truncating at the cap degrades to a shorter clean prefix.
 const maxSegmentBytes = 64 << 20
 
-// ManifestDoc is the wire form of a node's store manifest, served at
-// /cluster/manifest.
-type ManifestDoc struct {
-	Node    string             `json:"node"`
-	Buckets []store.BucketInfo `json:"buckets"`
-	// MerkleDepth advertises the node's Merkle leaf depth. Zero (or
-	// absent) marks a pre-Merkle peer: the syncer then falls back to
-	// whole-bucket pulls. Version negotiation rides on the manifest
-	// itself so no probe request is needed.
-	MerkleDepth int `json:"merkleDepth,omitempty"`
-}
-
 // Client talks to one peer node over HTTP. Safe for concurrent use.
 type Client struct {
 	node string
@@ -44,10 +32,10 @@ type Client struct {
 	hc   *http.Client
 
 	// Wire accounting for the sync protocol: request and response
-	// body bytes moved by the replication methods (Manifest, Digests,
-	// leaf/segment/record pulls). Serve-path forwarding is excluded —
+	// body bytes moved by the replication methods (Digests, leaf,
+	// record and memo-leaf pulls). Serve-path forwarding is excluded —
 	// these counters exist to price anti-entropy, and they are what
-	// the sync metrics and rtbench -sync report.
+	// the sync metrics report.
 	rx atomic.Int64
 	tx atomic.Int64
 }
@@ -105,27 +93,15 @@ func (c *Client) getBytes(ctx context.Context, url, what string, bound int64) ([
 	return data, nil
 }
 
-// Manifest fetches the peer's store manifest.
-func (c *Client) Manifest(ctx context.Context) (*ManifestDoc, error) {
-	data, err := c.getBytes(ctx, c.base+"/cluster/manifest", "manifest", 1<<20)
-	if err != nil {
-		return nil, err
-	}
-	var doc ManifestDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("cluster: manifest from %s: %w", c.node, err)
-	}
-	return &doc, nil
-}
-
-// Digests fetches the peer's Merkle digests for the children of
-// prefix at the given depth. Tier selects the digest tiers included:
-// "v" (verdict), "m" (memo), or "" for both — narrowing one tier
-// excludes the other's digests so the walk's wire cost stays minimal.
-func (c *Client) Digests(ctx context.Context, prefix string, depth int, tier string) ([]store.PrefixDigest, error) {
-	url := fmt.Sprintf("%s/cluster/digests/%s?depth=%d", c.base, prefix, depth)
+// Digests fetches the peer's Merkle digests for the direct children
+// of prefix; the empty prefix yields the top level. Tier selects the
+// digest tiers included: "v" (verdict), "m" (memo), or "" for both —
+// walking one tier excludes the other's digests so the walk's wire
+// cost stays minimal.
+func (c *Client) Digests(ctx context.Context, prefix, tier string) ([]store.PrefixDigest, error) {
+	url := c.base + "/cluster/digests/" + prefix
 	if tier != "" {
-		url += "&tier=" + tier
+		url += "?tier=" + tier
 	}
 	data, err := c.getBytes(ctx, url, fmt.Sprintf("digests %q", prefix), 1<<20)
 	if err != nil {
@@ -153,8 +129,8 @@ func (c *Client) LeafFingerprints(ctx context.Context, prefix string) ([]string,
 }
 
 // FetchRecords pulls exactly the requested records from the peer as a
-// sealed CRC-framed segment — the delta pull. Like the bucket pulls,
-// the store's import path is the validator; this bounds the size.
+// sealed CRC-framed segment — the delta pull. The store's import path
+// is the validator; this bounds the size.
 func (c *Client) FetchRecords(ctx context.Context, fps []string) ([]byte, error) {
 	body, err := json.Marshal(fps)
 	if err != nil {
@@ -183,21 +159,6 @@ func (c *Client) FetchRecords(ctx context.Context, fps []string) ([]byte, error)
 		return nil, fmt.Errorf("cluster: fetch from %s exceeds %d bytes", c.node, maxSegmentBytes)
 	}
 	return data, nil
-}
-
-// PullSegment fetches one sealed segment (a manifest bucket) from the
-// peer. The body is not validated here — the store's import path is
-// the validator; this just bounds the size.
-func (c *Client) PullSegment(ctx context.Context, bucket int) ([]byte, error) {
-	url := fmt.Sprintf("%s/cluster/segment/%d", c.base, bucket)
-	return c.getBytes(ctx, url, fmt.Sprintf("segment %d", bucket), maxSegmentBytes)
-}
-
-// PullMemoSegment fetches one sealed memo segment (a manifest
-// bucket's refutation-cache slice) from the peer.
-func (c *Client) PullMemoSegment(ctx context.Context, bucket int) ([]byte, error) {
-	url := fmt.Sprintf("%s/cluster/memoseg/%d", c.base, bucket)
-	return c.getBytes(ctx, url, fmt.Sprintf("memo segment %d", bucket), maxSegmentBytes)
 }
 
 // PullMemoLeaf fetches the sealed memo segment for one Merkle leaf —

@@ -9,40 +9,41 @@ import (
 	"rtm/internal/store"
 )
 
-// Syncer is the anti-entropy loop: periodically compare this node's
-// store manifest with each peer's and pull what differs, replaying it
-// through the store's validate-or-drop import. Convergence argument:
-// the digest is a pure function of a bucket's fingerprint set and
+// Syncer is the anti-entropy loop: periodically walk each peer's
+// Merkle tree (store/merkle.go) root-down against this node's and
+// pull what differs, replaying it through the store's validate-or-drop
+// import. A round runs two walks per peer, one per tier, each starting
+// at the empty prefix: the top level (full-width digests) decides
+// "converged", and below it the walk descends only into children
+// whose (count, digest) differ from the local node's.
+//
+// At a divergent verdict leaf the syncer fetches the peer's
+// fingerprint set, computes the missing set locally, and pulls
+// exactly those records — so the wire cost of a round is proportional
+// to the divergence, not the store size. Convergence argument: a
+// verdict digest is a pure function of the fingerprint set and
 // imports only ever add fingerprints (first write wins, no deletes in
 // the protocol), so after one full round in a quiet fleet every
-// node's fingerprint set is the union of the fleet's sets and all
-// digests for equal-membership buckets agree. A corrupt pull imports
-// the clean prefix and leaves the digest unequal, so the next round
-// retries — damage heals instead of propagating, and because serves
-// re-verify, the damaged window costs misses, never wrong verdicts.
+// node's set is the union of the fleet's and all digests agree. A
+// corrupt pull imports the clean prefix and leaves the digest unequal,
+// so the next round retries — damage heals instead of propagating,
+// and because serves re-verify, the damaged window costs misses,
+// never wrong verdicts.
 //
-// Against a peer advertising the Merkle manifest (ManifestDoc.
-// MerkleDepth), a divergent bucket is narrowed instead of pulled
-// whole: the syncer walks the peer's prefix digests level by level to
-// the divergent leaves, fetches each leaf's fingerprint set, computes
-// the missing set locally, and pulls exactly those records — so the
-// wire cost of a round is proportional to the divergence, not the
-// store size. Whole-bucket pulls survive as the fallback for
-// pre-Merkle peers (and behind DisableMerkle as an operational escape
-// hatch). The trustlessness argument is unchanged: narrowing only
-// decides WHAT to pull; every pulled byte still goes through the same
-// validate-or-drop import, and a peer lying in its digests can cost
-// redundant or missing pulls, never a wrong record.
+// The memo tier pulls whole divergent leaves: memo records converge by
+// content merge under the order-independent union-and-cap rule, so
+// there is no per-record set difference to compute. A poisoned memo
+// segment is even safer than a poisoned verdict segment: a seeded
+// signature only ever matches by exact bytes, so corruption that
+// survives framing costs table memory, never a verdict. The two tiers
+// fail independently — a dead verdict endpoint defers verdict
+// convergence one round, never memo convergence.
 //
-// The memo tier replicates through the same loop but pulls whole
-// divergent leaves (or buckets, on the fallback path): memo records
-// converge by content merge under the order-independent union-and-cap
-// rule, so there is no per-record set difference to compute. A
-// poisoned memo segment is even safer than a poisoned verdict
-// segment: a seeded signature only ever matches by exact bytes, so
-// corruption that survives framing costs table memory, never a
-// verdict. The two tiers fail independently — a dead verdict endpoint
-// defers verdict convergence one round, never memo convergence.
+// Nothing a peer says is trusted. Its digests only decide WHAT to
+// pull; the walk descends only into valid direct children of the
+// queried prefix, each at most once, so a lying peer can cost at most
+// one bounded tree walk per round; and every pulled byte goes through
+// the validate-or-drop import.
 type Syncer struct {
 	// Store is the local store replicated into.
 	Store *store.Store
@@ -54,10 +55,6 @@ type Syncer struct {
 	// Concurrency bounds how many peers are synced in parallel within
 	// one round. Zero defaults to 4.
 	Concurrency int
-	// DisableMerkle forces whole-bucket pulls even against peers that
-	// advertise Merkle manifests — the operational escape hatch, and
-	// the old-protocol arm of rtbench -sync.
-	DisableMerkle bool
 	// OnPull, when non-nil, observes each successful pull with the
 	// number of records imported (metrics hook).
 	OnPull func(records int64)
@@ -79,8 +76,8 @@ type RoundStats struct {
 	Peers    int
 	Deferred int
 	Failures int
-	// Pulls counts successful pull+import operations (bucket, leaf,
-	// or record-fetch); Records counts records imported by them.
+	// Pulls counts successful pull+import operations (record fetches
+	// and memo-leaf pulls); Records counts records imported by them.
 	Pulls   int
 	Records int
 	// BytesRx / BytesTx are the wire bytes moved this round across
@@ -113,8 +110,8 @@ type peerBackoff struct {
 const fetchBatch = 512
 
 // SyncOnce runs one anti-entropy round: every peer not in backoff is
-// synced on its own goroutine (at most Concurrency in flight), each
-// tier of each divergent bucket narrowed or pulled independently.
+// synced on its own goroutine (at most Concurrency in flight), the
+// two tiers walked independently.
 func (sy *Syncer) SyncOnce(ctx context.Context) RoundStats {
 	conc := sy.Concurrency
 	if conc <= 0 {
@@ -200,69 +197,34 @@ func (sy *Syncer) notePeer(p *Client, failed bool) {
 // syncPeer runs both tiers of one peer exchange and reports the
 // pulls/records plus whether anything failed (for backoff).
 func (sy *Syncer) syncPeer(ctx context.Context, peer *Client) (st RoundStats, failed bool) {
-	theirs, err := peer.Manifest(ctx)
-	if err != nil {
+	fail := func(err error) {
 		sy.logf("cluster: sync: %v", err)
-		return st, true
+		failed = true
 	}
-	// Re-read the local manifest per peer: pulls from an earlier peer
-	// this round may have already converged some buckets.
-	mine := sy.Store.Manifest()
-	merkle := !sy.DisableMerkle && theirs.MerkleDepth == store.MerkleDepth
 
-	// Verdict tier: narrow divergent buckets to missing fingerprints
-	// (Merkle peers) or pull them whole (fallback), then fetch the
-	// missing records in batches.
+	// Verdict tier: diff each divergent leaf's fingerprint set, then
+	// fetch the missing records in batches. A partial walk still
+	// heals what it reached.
 	var want []string
-	for _, b := range theirs.Buckets {
-		if b.Bucket < 0 || b.Bucket >= store.ManifestBuckets || ctx.Err() != nil {
-			continue
-		}
-		if b.Count == 0 || b.Digest == mine[b.Bucket].Digest {
-			continue
-		}
-		if !merkle {
-			seg, err := peer.PullSegment(ctx, b.Bucket)
-			if err != nil {
-				sy.logf("cluster: sync: %v", err)
-				failed = true
-				continue
-			}
-			ist, err := sy.Store.ImportFrames(seg)
-			if err != nil {
-				sy.logf("cluster: sync: importing bucket %d from %s: %v", b.Bucket, peer.Node(), err)
-				failed = true
-				continue
-			}
-			if ist.Dropped {
-				sy.logf("cluster: sync: bucket %d from %s had a corrupt tail; kept %d-record clean prefix", b.Bucket, peer.Node(), ist.Imported)
-			}
-			st.addPull(ist.Imported, sy.OnPull)
-			continue
-		}
-		missing, err := sy.narrowVerdict(ctx, peer, fmt.Sprintf("%x", b.Bucket))
+	err := sy.walk(ctx, peer, false, "", func(leaf string) error {
+		missing, err := sy.missingInLeaf(ctx, peer, leaf)
 		want = append(want, missing...)
-		if err != nil {
-			sy.logf("cluster: sync: %v", err)
-			failed = true
-		}
+		return err
+	})
+	if err != nil {
+		fail(err)
 	}
 	for len(want) > 0 && ctx.Err() == nil {
-		batch := want
-		if len(batch) > fetchBatch {
-			batch = batch[:fetchBatch]
-		}
+		batch := want[:min(len(want), fetchBatch)]
 		want = want[len(batch):]
 		seg, err := peer.FetchRecords(ctx, batch)
 		if err != nil {
-			sy.logf("cluster: sync: %v", err)
-			failed = true
+			fail(err)
 			break
 		}
 		ist, err := sy.Store.ImportFrames(seg)
 		if err != nil {
-			sy.logf("cluster: sync: importing fetch from %s: %v", peer.Node(), err)
-			failed = true
+			fail(fmt.Errorf("importing fetch from %s: %w", peer.Node(), err))
 			break
 		}
 		if ist.Dropped {
@@ -271,124 +233,50 @@ func (sy *Syncer) syncPeer(ctx context.Context, peer *Client) (st RoundStats, fa
 		st.addPull(ist.Imported, sy.OnPull)
 	}
 
-	// Memo tier, independently of any verdict-tier failure: a dead
-	// segment endpoint must not defer memo convergence a full round.
-	// An empty peer MemoDigest means the peer predates the memo tier —
-	// nothing to pull.
-	for _, b := range theirs.Buckets {
-		if b.Bucket < 0 || b.Bucket >= store.ManifestBuckets || ctx.Err() != nil {
-			continue
-		}
-		if b.MemoCount == 0 || b.MemoDigest == "" || b.MemoDigest == mine[b.Bucket].MemoDigest {
-			continue
-		}
-		if !merkle {
-			seg, err := peer.PullMemoSegment(ctx, b.Bucket)
-			if err != nil {
-				sy.logf("cluster: sync: %v", err)
-				failed = true
-				continue
-			}
-			ist, err := sy.Store.ImportMemoFrames(seg)
-			if err != nil {
-				sy.logf("cluster: sync: importing memo bucket %d from %s: %v", b.Bucket, peer.Node(), err)
-				failed = true
-				continue
-			}
-			if ist.Dropped {
-				sy.logf("cluster: sync: memo bucket %d from %s had a corrupt tail; kept %d-record clean prefix", b.Bucket, peer.Node(), ist.Imported)
-			}
-			st.addPull(ist.Imported, sy.OnPull)
-			continue
-		}
-		if err := sy.narrowMemo(ctx, peer, fmt.Sprintf("%x", b.Bucket), &st); err != nil {
-			sy.logf("cluster: sync: %v", err)
-			failed = true
-		}
-	}
-	return st, failed
-}
-
-// narrowVerdict walks the peer's verdict digests under prefix down to
-// the divergent leaves and returns the fingerprints the peer has that
-// this node lacks. Children the peer has empty are skipped — the
-// protocol is pull-only; a peer missing OUR records converges by
-// pulling from us. An error returns the missing set found so far, so
-// a partial walk still heals what it reached.
-func (sy *Syncer) narrowVerdict(ctx context.Context, peer *Client, prefix string) ([]string, error) {
-	if len(prefix) == store.MerkleDepth {
-		peerFps, err := peer.LeafFingerprints(ctx, prefix)
-		if err != nil {
-			return nil, err
-		}
-		local, err := sy.Store.LeafFingerprints(prefix)
-		if err != nil {
-			return nil, err
-		}
-		have := make(map[string]bool, len(local))
-		for _, fp := range local {
-			have[fp] = true
-		}
-		var missing []string
-		for _, fp := range peerFps {
-			if !have[fp] {
-				missing = append(missing, fp)
-			}
-		}
-		return missing, nil
-	}
-	peerDs, err := peer.Digests(ctx, prefix, len(prefix)+1, "v")
-	if err != nil {
-		return nil, err
-	}
-	localDs, err := sy.Store.Digests(prefix, len(prefix)+1, true, false)
-	if err != nil {
-		return nil, err
-	}
-	local := make(map[string]store.PrefixDigest, len(localDs))
-	for _, d := range localDs {
-		local[d.Prefix] = d
-	}
-	var missing []string
-	for _, d := range peerDs {
-		if d.Count == 0 || ctx.Err() != nil {
-			continue
-		}
-		if l := local[d.Prefix]; l.Count == d.Count && l.Digest == d.Digest {
-			continue
-		}
-		sub, err := sy.narrowVerdict(ctx, peer, d.Prefix)
-		missing = append(missing, sub...)
-		if err != nil {
-			return missing, err
-		}
-	}
-	return missing, nil
-}
-
-// narrowMemo walks the peer's memo digests under prefix and pulls
-// each divergent leaf as a sealed memo segment.
-func (sy *Syncer) narrowMemo(ctx context.Context, peer *Client, prefix string, st *RoundStats) error {
-	if len(prefix) == store.MerkleDepth {
-		seg, err := peer.PullMemoLeaf(ctx, prefix)
+	// Memo tier, independently of any verdict-tier failure: pull and
+	// merge each divergent leaf whole.
+	err = sy.walk(ctx, peer, true, "", func(leaf string) error {
+		seg, err := peer.PullMemoLeaf(ctx, leaf)
 		if err != nil {
 			return err
 		}
 		ist, err := sy.Store.ImportMemoFrames(seg)
 		if err != nil {
-			return fmt.Errorf("importing memo leaf %q from %s: %w", prefix, peer.Node(), err)
+			return fmt.Errorf("importing memo leaf %q from %s: %w", leaf, peer.Node(), err)
 		}
 		if ist.Dropped {
-			sy.logf("cluster: sync: memo leaf %q from %s had a corrupt tail; kept %d-record clean prefix", prefix, peer.Node(), ist.Imported)
+			sy.logf("cluster: sync: memo leaf %q from %s had a corrupt tail; kept %d-record clean prefix", leaf, peer.Node(), ist.Imported)
 		}
 		st.addPull(ist.Imported, sy.OnPull)
 		return nil
+	})
+	if err != nil {
+		fail(err)
 	}
-	peerDs, err := peer.Digests(ctx, prefix, len(prefix)+1, "m")
+	return st, failed
+}
+
+// walk descends the peer's tree for one tier (memo selects which)
+// from prefix and calls leaf for every leaf whose (count, digest)
+// differs from the local one. Children the peer has empty are skipped
+// — the protocol is pull-only; a peer missing OUR records converges
+// by pulling from us. Only valid direct children of prefix are
+// followed, each at most once, so a peer echoing prefixes back or
+// repeating them cannot make the walk loop. The walk goes on past a
+// failed subtree and returns the first error.
+func (sy *Syncer) walk(ctx context.Context, peer *Client, memo bool, prefix string, leaf func(string) error) error {
+	if len(prefix) == store.MerkleDepth {
+		return leaf(prefix)
+	}
+	tier := "v"
+	if memo {
+		tier = "m"
+	}
+	peerDs, err := peer.Digests(ctx, prefix, tier)
 	if err != nil {
 		return err
 	}
-	localDs, err := sy.Store.Digests(prefix, len(prefix)+1, false, true)
+	localDs, err := sy.Store.Digests(prefix, len(prefix)+1, !memo, memo)
 	if err != nil {
 		return err
 	}
@@ -396,18 +284,53 @@ func (sy *Syncer) narrowMemo(ctx context.Context, peer *Client, prefix string, s
 	for _, d := range localDs {
 		local[d.Prefix] = d
 	}
+	var first error
+	seen := make(map[string]bool, len(peerDs))
 	for _, d := range peerDs {
-		if d.MemoCount == 0 || ctx.Err() != nil {
+		if ctx.Err() != nil {
+			break
+		}
+		if len(d.Prefix) != len(prefix)+1 || d.Prefix[:len(prefix)] != prefix || !store.ValidPrefix(d.Prefix) || seen[d.Prefix] {
 			continue
 		}
-		if l := local[d.Prefix]; l.MemoCount == d.MemoCount && l.MemoDigest == d.MemoDigest {
+		seen[d.Prefix] = true
+		l := local[d.Prefix]
+		n, dg, ln, ldg := d.Count, d.Digest, l.Count, l.Digest
+		if memo {
+			n, dg, ln, ldg = d.MemoCount, d.MemoDigest, l.MemoCount, l.MemoDigest
+		}
+		if n == 0 || (n == ln && dg == ldg) {
 			continue
 		}
-		if err := sy.narrowMemo(ctx, peer, d.Prefix, st); err != nil {
-			return err
+		if err := sy.walk(ctx, peer, memo, d.Prefix, leaf); err != nil && first == nil {
+			first = err
 		}
 	}
-	return nil
+	return first
+}
+
+// missingInLeaf returns the fingerprints the peer holds under one
+// leaf that this node lacks.
+func (sy *Syncer) missingInLeaf(ctx context.Context, peer *Client, leaf string) ([]string, error) {
+	peerFps, err := peer.LeafFingerprints(ctx, leaf)
+	if err != nil {
+		return nil, err
+	}
+	local, err := sy.Store.LeafFingerprints(leaf)
+	if err != nil {
+		return nil, err
+	}
+	have := make(map[string]bool, len(local))
+	for _, fp := range local {
+		have[fp] = true
+	}
+	var missing []string
+	for _, fp := range peerFps {
+		if !have[fp] {
+			missing = append(missing, fp)
+		}
+	}
+	return missing, nil
 }
 
 // Run loops SyncOnce every Interval until ctx is cancelled. The first

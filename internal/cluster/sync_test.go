@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -15,56 +17,97 @@ import (
 	"rtm/internal/store"
 )
 
-// peerServer exposes a store over the cluster's PRE-MERKLE wire
-// protocol — manifest without a merkleDepth field, whole-bucket
-// segments only — with an optional segment mangler for corruption
-// tests. Syncing against it exercises the fallback path; see
-// merklePeerServer for the narrowing protocol.
-func peerServer(t *testing.T, node string, st *store.Store, mangle *atomic.Bool) *httptest.Server {
+// testPeer exposes a store over the cluster's wire protocol — the
+// test-side mirror of the served daemon's handlers — and counts
+// requests per endpoint. Setting mangle flips every byte of the
+// record-carrying bodies (/cluster/fetch and /cluster/memoleaf), the
+// in-flight corruption the trust tests need; endpoints named in down
+// answer 500.
+type testPeer struct {
+	srv    *httptest.Server
+	hits   map[string]*atomic.Int64
+	mangle atomic.Bool
+}
+
+func newPeer(t *testing.T, st *store.Store, down ...string) *testPeer {
 	t.Helper()
+	p := &testPeer{hits: map[string]*atomic.Int64{}}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/cluster/manifest", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(ManifestDoc{Node: node, Buckets: st.Manifest()})
-	})
-	mux.HandleFunc("/cluster/segment/", func(w http.ResponseWriter, r *http.Request) {
-		b, err := strconv.Atoi(strings.TrimPrefix(r.URL.Path, "/cluster/segment/"))
-		if err != nil {
-			http.Error(w, "bad bucket", http.StatusBadRequest)
-			return
-		}
-		seg, _, err := st.ExportBucket(b)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if mangle != nil && mangle.Load() {
-			for i := range seg {
-				seg[i] ^= 0x5a
+	handle := func(name string, fn func(r *http.Request) (any, error)) {
+		p.hits[name] = &atomic.Int64{}
+		isDown := slices.Contains(down, name)
+		mux.HandleFunc("/cluster/"+name, func(w http.ResponseWriter, r *http.Request) {
+			p.hits[name].Add(1)
+			if isDown {
+				http.Error(w, name+" down", http.StatusInternalServerError)
+				return
 			}
-		}
-		w.Write(seg)
-	})
-	mux.HandleFunc("/cluster/memoseg/", func(w http.ResponseWriter, r *http.Request) {
-		b, err := strconv.Atoi(strings.TrimPrefix(r.URL.Path, "/cluster/memoseg/"))
-		if err != nil {
-			http.Error(w, "bad bucket", http.StatusBadRequest)
-			return
-		}
-		seg, _, err := st.ExportMemoBucket(b)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if mangle != nil && mangle.Load() {
-			for i := range seg {
-				seg[i] ^= 0x5a
+			v, err := fn(r)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
 			}
-		}
-		w.Write(seg)
+			seg, ok := v.([]byte)
+			if !ok {
+				json.NewEncoder(w).Encode(v)
+				return
+			}
+			if p.mangle.Load() {
+				for i := range seg {
+					seg[i] ^= 0x5a
+				}
+			}
+			w.Write(seg)
+		})
+	}
+	handle("digests/", func(r *http.Request) (any, error) {
+		prefix := strings.TrimPrefix(r.URL.Path, "/cluster/digests/")
+		tier := r.URL.Query().Get("tier")
+		return st.Digests(prefix, len(prefix)+1, tier != "m", tier != "v")
 	})
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-	return srv
+	handle("leaf/", func(r *http.Request) (any, error) {
+		fps, err := st.LeafFingerprints(strings.TrimPrefix(r.URL.Path, "/cluster/leaf/"))
+		if fps == nil {
+			fps = []string{}
+		}
+		return fps, err
+	})
+	handle("fetch", func(r *http.Request) (any, error) {
+		var fps []string
+		if err := json.NewDecoder(r.Body).Decode(&fps); err != nil {
+			return nil, err
+		}
+		seg, _, err := st.ExportRecords(fps)
+		return seg, err
+	})
+	handle("memoleaf/", func(r *http.Request) (any, error) {
+		seg, _, err := st.ExportMemoPrefix(strings.TrimPrefix(r.URL.Path, "/cluster/memoleaf/"))
+		return seg, err
+	})
+	p.srv = httptest.NewServer(mux)
+	t.Cleanup(p.srv.Close)
+	return p
+}
+
+func (p *testPeer) client(node string) *Client { return NewClient(node, p.srv.URL, time.Second) }
+
+// requireConverged asserts two stores agree on every node of both
+// tiers' trees, at every depth.
+func requireConverged(t *testing.T, a, b *store.Store) {
+	t.Helper()
+	for depth := 1; depth <= store.MerkleDepth; depth++ {
+		da, err := a.Digests("", depth, true, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := b.Digests("", depth, true, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(da, db) {
+			t.Fatalf("depth %d diverged after sync:\n%+v\n%+v", depth, da, db)
+		}
+	}
 }
 
 func seedRecord(bucket, i int) *store.Record {
@@ -96,30 +139,22 @@ func TestSyncOnceConverges(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srvA := peerServer(t, "a", a, nil)
-	srvB := peerServer(t, "b", b, nil)
-
 	var pulled atomic.Int64
-	syA := &Syncer{Store: a, Peers: []*Client{NewClient("b", srvB.URL, time.Second)},
+	syA := &Syncer{Store: a, Peers: []*Client{newPeer(t, b).client("b")},
 		OnPull: func(n int64) { pulled.Add(n) }, Logf: t.Logf}
-	syB := &Syncer{Store: b, Peers: []*Client{NewClient("a", srvA.URL, time.Second)}, Logf: t.Logf}
+	syB := &Syncer{Store: b, Peers: []*Client{newPeer(t, a).client("a")}, Logf: t.Logf}
 
 	ctx := context.Background()
 	rs := syA.SyncOnce(ctx)
 	if rs.Pulls != 1 || rs.Records != 4 {
-		t.Fatalf("A's round pulled %d segments / %d records, want 1/4", rs.Pulls, rs.Records)
+		t.Fatalf("A's round made %d pulls / %d records, want 1/4", rs.Pulls, rs.Records)
 	}
 	if pulled.Load() != 4 {
 		t.Fatalf("OnPull observed %d records, want 4", pulled.Load())
 	}
 	syB.SyncOnce(ctx)
 
-	am, bm := a.Manifest(), b.Manifest()
-	for i := range am {
-		if am[i] != bm[i] {
-			t.Fatalf("bucket %d diverged after sync: %+v vs %+v", i, am[i], bm[i])
-		}
-	}
+	requireConverged(t, a, b)
 	if a.Len() != 9 || b.Len() != 9 {
 		t.Fatalf("lens after sync: a=%d b=%d, want 9/9", a.Len(), b.Len())
 	}
@@ -130,10 +165,10 @@ func TestSyncOnceConverges(t *testing.T) {
 	}
 }
 
-// TestSyncCorruptPullHealsNextRound pins acceptance (c) at the
-// protocol level: a segment mangled in flight imports nothing wrong
-// (clean-prefix zero here, since every byte is flipped), the round
-// survives, and a later clean round heals the gap.
+// TestSyncCorruptPullHealsNextRound pins the trustless import at the
+// protocol level: a record fetch mangled in flight imports nothing
+// wrong (clean-prefix zero here, since every byte is flipped), the
+// round survives, and a later clean round heals the gap.
 func TestSyncCorruptPullHealsNextRound(t *testing.T) {
 	src, dst := openStore(t), openStore(t)
 	for i := 0; i < 4; i++ {
@@ -141,31 +176,30 @@ func TestSyncCorruptPullHealsNextRound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var mangle atomic.Bool
-	mangle.Store(true)
-	srv := peerServer(t, "src", src, &mangle)
-	sy := &Syncer{Store: dst, Peers: []*Client{NewClient("src", srv.URL, time.Second)}, Logf: t.Logf}
+	peer := newPeer(t, src)
+	peer.mangle.Store(true)
+	sy := &Syncer{Store: dst, Peers: []*Client{peer.client("src")}, Logf: t.Logf}
 
 	ctx := context.Background()
 	rs := sy.SyncOnce(ctx)
 	if rs.Records != 0 || dst.Len() != 0 {
 		t.Fatalf("corrupt round imported %d records (pulls=%d, len=%d) — corruption served", rs.Records, rs.Pulls, dst.Len())
 	}
+	if peer.hits["fetch"].Load() == 0 {
+		t.Fatal("corrupt round never reached the record fetch")
+	}
 
-	mangle.Store(false)
+	peer.mangle.Store(false)
 	rs = sy.SyncOnce(ctx)
 	if rs.Pulls != 1 || rs.Records != 4 || dst.Len() != 4 {
 		t.Fatalf("healing round: pulls=%d records=%d len=%d, want 1/4/4", rs.Pulls, rs.Records, dst.Len())
 	}
-	sm, dm := src.Manifest(), dst.Manifest()
-	if sm[9] != dm[9] {
-		t.Fatalf("bucket 9 not healed: %+v vs %+v", sm[9], dm[9])
-	}
+	requireConverged(t, src, dst)
 }
 
 // TestSyncMemoConverges pins memo-tier replication: after one sync
 // round each way, both stores hold the merged (union) signature sets
-// and their manifests — memo digests included — are identical. Unlike
+// and their trees — memo digests included — are identical. Unlike
 // verdicts there is no first-write-wins: overlapping classes merge.
 func TestSyncMemoConverges(t *testing.T) {
 	a, b := openStore(t), openStore(t)
@@ -187,10 +221,8 @@ func TestSyncMemoConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srvA := peerServer(t, "a", a, nil)
-	srvB := peerServer(t, "b", b, nil)
-	syA := &Syncer{Store: a, Peers: []*Client{NewClient("b", srvB.URL, time.Second)}, Logf: t.Logf}
-	syB := &Syncer{Store: b, Peers: []*Client{NewClient("a", srvA.URL, time.Second)}, Logf: t.Logf}
+	syA := &Syncer{Store: a, Peers: []*Client{newPeer(t, b).client("b")}, Logf: t.Logf}
+	syB := &Syncer{Store: b, Peers: []*Client{newPeer(t, a).client("a")}, Logf: t.Logf}
 
 	ctx := context.Background()
 	syA.SyncOnce(ctx)
@@ -208,12 +240,7 @@ func TestSyncMemoConverges(t *testing.T) {
 			t.Fatal("one-sided class not replicated")
 		}
 	}
-	am, bm := a.Manifest(), b.Manifest()
-	for i := range am {
-		if am[i] != bm[i] {
-			t.Fatalf("bucket %d diverged after sync: %+v vs %+v", i, am[i], bm[i])
-		}
-	}
+	requireConverged(t, a, b)
 	// quiescent round: converged replicas pull nothing
 	if rs := syA.SyncOnce(ctx); rs.Pulls != 0 || rs.Records != 0 {
 		t.Fatalf("quiescent round pulled %d/%d", rs.Pulls, rs.Records)
@@ -221,73 +248,33 @@ func TestSyncMemoConverges(t *testing.T) {
 }
 
 // TestSyncMemoPoisonedSegmentDropped pins the trustless import: a memo
-// segment mangled in flight contributes nothing (every byte flipped →
-// empty clean prefix), the local store stays intact, and the next clean
-// round heals.
+// leaf segment mangled in flight contributes nothing (every byte
+// flipped → empty clean prefix), the local store stays intact, and
+// the next clean round heals.
 func TestSyncMemoPoisonedSegmentDropped(t *testing.T) {
 	src, dst := openStore(t), openStore(t)
 	key := fmt.Sprintf("%x%063x", 9, 0x51)
 	if err := src.PutMemo(key, nil, [][]byte{[]byte("deep-refutation")}); err != nil {
 		t.Fatal(err)
 	}
-	var mangle atomic.Bool
-	mangle.Store(true)
-	srv := peerServer(t, "src", src, &mangle)
-	sy := &Syncer{Store: dst, Peers: []*Client{NewClient("src", srv.URL, time.Second)}, Logf: t.Logf}
+	peer := newPeer(t, src)
+	peer.mangle.Store(true)
+	sy := &Syncer{Store: dst, Peers: []*Client{peer.client("src")}, Logf: t.Logf}
 
 	ctx := context.Background()
 	sy.SyncOnce(ctx)
 	if dst.MemoLen() != 0 {
 		t.Fatalf("poisoned round imported %d memo classes", dst.MemoLen())
 	}
+	if peer.hits["memoleaf/"].Load() == 0 {
+		t.Fatal("poisoned round never reached the memo leaf pull")
+	}
 
-	mangle.Store(false)
+	peer.mangle.Store(false)
 	sy.SyncOnce(ctx)
 	rec, ok := dst.GetMemo(key)
 	if !ok || len(rec.Sigs) != 1 {
 		t.Fatalf("healing round: ok=%v rec=%+v", ok, rec)
-	}
-}
-
-// TestSyncMemoOldPeerSkipped pins wire compatibility: a peer whose
-// manifest predates the memo tier (no memoDigest fields) syncs verdicts
-// normally and is never asked for memo segments.
-func TestSyncMemoOldPeerSkipped(t *testing.T) {
-	src, dst := openStore(t), openStore(t)
-	if err := src.Put(seedRecord(4, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := src.PutMemo(fmt.Sprintf("%x%063x", 4, 0x61), nil, [][]byte{[]byte("s")}); err != nil {
-		t.Fatal(err)
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/cluster/manifest", func(w http.ResponseWriter, r *http.Request) {
-		buckets := src.Manifest()
-		for i := range buckets {
-			buckets[i].MemoCount, buckets[i].MemoDigest = 0, "" // pre-memo peer
-		}
-		json.NewEncoder(w).Encode(ManifestDoc{Node: "old", Buckets: buckets})
-	})
-	mux.HandleFunc("/cluster/segment/", func(w http.ResponseWriter, r *http.Request) {
-		b, _ := strconv.Atoi(strings.TrimPrefix(r.URL.Path, "/cluster/segment/"))
-		seg, _, err := src.ExportBucket(b)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.Write(seg)
-	})
-	// note: no /cluster/memoseg/ route — an old peer 404s it
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-
-	sy := &Syncer{Store: dst, Peers: []*Client{NewClient("old", srv.URL, time.Second)}, Logf: t.Logf}
-	rs := sy.SyncOnce(context.Background())
-	if rs.Pulls != 1 || rs.Records != 1 || dst.Len() != 1 {
-		t.Fatalf("verdict sync against old peer: pulls=%d records=%d len=%d", rs.Pulls, rs.Records, dst.Len())
-	}
-	if dst.MemoLen() != 0 {
-		t.Fatal("memo classes appeared from a peer that advertises none")
 	}
 }
 
@@ -308,114 +295,10 @@ func TestSyncDeadPeerSkipped(t *testing.T) {
 	}
 }
 
-// merklePeerServer exposes a store over the full Merkle wire protocol
-// — the test-side mirror of the served daemon's handlers — and counts
-// requests per endpoint so tests can pin which protocol ran.
-func merklePeerServer(t *testing.T, node string, st *store.Store, hits map[string]*atomic.Int64) *httptest.Server {
-	t.Helper()
-	count := func(name string) {
-		if hits != nil {
-			if c, ok := hits[name]; ok {
-				c.Add(1)
-			}
-		}
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/cluster/manifest", func(w http.ResponseWriter, r *http.Request) {
-		count("manifest")
-		json.NewEncoder(w).Encode(ManifestDoc{Node: node, Buckets: st.Manifest(), MerkleDepth: store.MerkleDepth})
-	})
-	mux.HandleFunc("/cluster/digests/", func(w http.ResponseWriter, r *http.Request) {
-		count("digests")
-		prefix := strings.TrimPrefix(r.URL.Path, "/cluster/digests/")
-		depth, _ := strconv.Atoi(r.URL.Query().Get("depth"))
-		v, m := true, true
-		switch r.URL.Query().Get("tier") {
-		case "v":
-			m = false
-		case "m":
-			v = false
-		}
-		ds, err := st.Digests(prefix, depth, v, m)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		json.NewEncoder(w).Encode(ds)
-	})
-	mux.HandleFunc("/cluster/leaf/", func(w http.ResponseWriter, r *http.Request) {
-		count("leaf")
-		fps, err := st.LeafFingerprints(strings.TrimPrefix(r.URL.Path, "/cluster/leaf/"))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if fps == nil {
-			fps = []string{}
-		}
-		json.NewEncoder(w).Encode(fps)
-	})
-	mux.HandleFunc("/cluster/fetch", func(w http.ResponseWriter, r *http.Request) {
-		count("fetch")
-		var fps []string
-		if err := json.NewDecoder(r.Body).Decode(&fps); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		seg, _, err := st.ExportRecords(fps)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.Write(seg)
-	})
-	mux.HandleFunc("/cluster/memoleaf/", func(w http.ResponseWriter, r *http.Request) {
-		count("memoleaf")
-		seg, _, err := st.ExportMemoPrefix(strings.TrimPrefix(r.URL.Path, "/cluster/memoleaf/"))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.Write(seg)
-	})
-	mux.HandleFunc("/cluster/segment/", func(w http.ResponseWriter, r *http.Request) {
-		count("segment")
-		b, _ := strconv.Atoi(strings.TrimPrefix(r.URL.Path, "/cluster/segment/"))
-		seg, _, err := st.ExportBucket(b)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.Write(seg)
-	})
-	mux.HandleFunc("/cluster/memoseg/", func(w http.ResponseWriter, r *http.Request) {
-		count("memoseg")
-		b, _ := strconv.Atoi(strings.TrimPrefix(r.URL.Path, "/cluster/memoseg/"))
-		seg, _, err := st.ExportMemoBucket(b)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.Write(seg)
-	})
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-	return srv
-}
-
-func hitCounters() map[string]*atomic.Int64 {
-	m := map[string]*atomic.Int64{}
-	for _, k := range []string{"manifest", "digests", "leaf", "fetch", "memoleaf", "segment", "memoseg"} {
-		m[k] = &atomic.Int64{}
-	}
-	return m
-}
-
-// TestSyncMerkleDeltaPull pins the tentpole protocol: against a
-// Merkle peer, a nearly-converged store pulls exactly its missing
-// records through narrowing — no whole-bucket endpoint is ever
-// touched, both tiers converge, and a second round is a no-op that
-// stops at the manifest.
+// TestSyncMerkleDeltaPull pins the protocol: a nearly-converged store
+// pulls exactly its missing records by walking the tree, both tiers
+// converge, and a second round is a no-op that stops at the top level
+// — one digests request per tier.
 func TestSyncMerkleDeltaPull(t *testing.T) {
 	src, dst := openStore(t), openStore(t)
 	for i := 0; i < 50; i++ {
@@ -432,9 +315,9 @@ func TestSyncMerkleDeltaPull(t *testing.T) {
 	if err := src.PutMemo(fmt.Sprintf("%x%063x", 6, 0x99), nil, [][]byte{[]byte("sig")}); err != nil {
 		t.Fatal(err)
 	}
-	hits := hitCounters()
-	srv := merklePeerServer(t, "src", src, hits)
-	sy := &Syncer{Store: dst, Peers: []*Client{NewClient("src", srv.URL, time.Second)}, Logf: t.Logf}
+	peer := newPeer(t, src)
+	hits := peer.hits
+	sy := &Syncer{Store: dst, Peers: []*Client{peer.client("src")}, Logf: t.Logf}
 
 	rs := sy.SyncOnce(context.Background())
 	if rs.Records != 26 || rs.Failures != 0 { // 25 verdicts + 1 memo class
@@ -443,68 +326,34 @@ func TestSyncMerkleDeltaPull(t *testing.T) {
 	if dst.Len() != 50 || dst.MemoLen() != 1 {
 		t.Fatalf("after delta round: len=%d memo=%d", dst.Len(), dst.MemoLen())
 	}
-	if hits["segment"].Load() != 0 || hits["memoseg"].Load() != 0 {
-		t.Fatalf("delta sync fell back to whole buckets: %d/%d hits", hits["segment"].Load(), hits["memoseg"].Load())
+	if hits["fetch"].Load() == 0 || hits["leaf/"].Load() == 0 || hits["memoleaf/"].Load() == 0 {
+		t.Fatalf("delta endpoints unused: fetch=%d leaf=%d memoleaf=%d", hits["fetch"].Load(), hits["leaf/"].Load(), hits["memoleaf/"].Load())
 	}
-	if hits["fetch"].Load() == 0 || hits["leaf"].Load() == 0 || hits["memoleaf"].Load() == 0 {
-		t.Fatalf("delta endpoints unused: fetch=%d leaf=%d memoleaf=%d", hits["fetch"].Load(), hits["leaf"].Load(), hits["memoleaf"].Load())
-	}
-	sm, dm := src.Manifest(), dst.Manifest()
-	for i := range sm {
-		if sm[i] != dm[i] {
-			t.Fatalf("bucket %d diverged: %+v vs %+v", i, sm[i], dm[i])
-		}
-	}
+	requireConverged(t, src, dst)
 
-	// quiescent round: equal manifests stop the walk at the manifest
-	before := hits["digests"].Load()
-	if rs := sy.SyncOnce(context.Background()); rs.Pulls != 0 || rs.BytesTx != 0 {
+	// quiescent round: equal top levels stop both walks at the root
+	before := map[string]int64{}
+	for k, c := range hits {
+		before[k] = c.Load()
+	}
+	rs = sy.SyncOnce(context.Background())
+	if rs.Pulls != 0 || rs.BytesTx != 0 || rs.BytesRx == 0 {
 		t.Fatalf("quiescent round: %+v", rs)
 	}
-	if hits["digests"].Load() != before {
-		t.Fatal("quiescent round still walked digests")
-	}
-	if rs := sy.SyncOnce(context.Background()); rs.BytesRx == 0 {
-		t.Fatal("wire accounting lost the manifest bytes")
+	for k, c := range hits {
+		want := before[k]
+		if k == "digests/" {
+			want += 2
+		}
+		if got := c.Load(); got != want {
+			t.Fatalf("quiescent round: %d %s requests, want %d", got-before[k], k, want-before[k])
+		}
 	}
 }
 
-// TestSyncMixedVersionFallback pins version negotiation: a Merkle
-// node syncing from a whole-bucket-only peer (no merkleDepth in its
-// manifest) falls back to bucket pulls, converges, and — because the
-// bucket digest formula is unchanged — detects convergence the next
-// round instead of re-pulling forever.
-func TestSyncMixedVersionFallback(t *testing.T) {
-	old, neo := openStore(t), openStore(t)
-	for i := 0; i < 12; i++ {
-		if err := old.Put(seedRecord(i%4, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := old.PutMemo(fmt.Sprintf("%x%063x", 2, 0x77), nil, [][]byte{[]byte("m")}); err != nil {
-		t.Fatal(err)
-	}
-	srv := peerServer(t, "old", old, nil) // pre-Merkle wire surface
-	sy := &Syncer{Store: neo, Peers: []*Client{NewClient("old", srv.URL, time.Second)}, Logf: t.Logf}
-
-	rs := sy.SyncOnce(context.Background())
-	if rs.Failures != 0 || neo.Len() != 12 || neo.MemoLen() != 1 {
-		t.Fatalf("fallback round: %+v len=%d memo=%d", rs, neo.Len(), neo.MemoLen())
-	}
-	om, nm := old.Manifest(), neo.Manifest()
-	for i := range om {
-		if om[i] != nm[i] {
-			t.Fatalf("bucket %d diverged across versions: %+v vs %+v", i, om[i], nm[i])
-		}
-	}
-	if rs := sy.SyncOnce(context.Background()); rs.Pulls != 0 {
-		t.Fatalf("converged mixed-version round still pulled %d — digest formula drifted", rs.Pulls)
-	}
-}
-
-// TestSyncTiersFailIndependently pins the satellite fix: a peer whose
-// verdict endpoints are down still replicates its memo tier in the
-// same round (the old loop's `continue` deferred memo a full round).
+// TestSyncTiersFailIndependently pins that a peer whose verdict
+// endpoints are down still replicates its memo tier in the same
+// round.
 func TestSyncTiersFailIndependently(t *testing.T) {
 	src, dst := openStore(t), openStore(t)
 	if err := src.Put(seedRecord(3, 1)); err != nil {
@@ -513,26 +362,8 @@ func TestSyncTiersFailIndependently(t *testing.T) {
 	if err := src.PutMemo(fmt.Sprintf("%x%063x", 3, 0x88), nil, [][]byte{[]byte("sig")}); err != nil {
 		t.Fatal(err)
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/cluster/manifest", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(ManifestDoc{Node: "src", Buckets: src.Manifest()})
-	})
-	mux.HandleFunc("/cluster/segment/", func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "verdict tier down", http.StatusInternalServerError)
-	})
-	mux.HandleFunc("/cluster/memoseg/", func(w http.ResponseWriter, r *http.Request) {
-		b, _ := strconv.Atoi(strings.TrimPrefix(r.URL.Path, "/cluster/memoseg/"))
-		seg, _, err := src.ExportMemoBucket(b)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.Write(seg)
-	})
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-
-	sy := &Syncer{Store: dst, Peers: []*Client{NewClient("src", srv.URL, time.Second)}, Logf: t.Logf}
+	peer := newPeer(t, src, "leaf/", "fetch")
+	sy := &Syncer{Store: dst, Peers: []*Client{peer.client("src")}, Logf: t.Logf}
 	rs := sy.SyncOnce(context.Background())
 	if rs.Failures != 1 {
 		t.Fatalf("round stats: %+v, want the verdict failure counted", rs)
@@ -555,10 +386,9 @@ func TestSyncRunImmediateFirstRound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srv := merklePeerServer(t, "src", src, nil)
 	done := make(chan RoundStats, 1)
 	sy := &Syncer{
-		Store: dst, Peers: []*Client{NewClient("src", srv.URL, time.Second)},
+		Store: dst, Peers: []*Client{newPeer(t, src).client("src")},
 		Interval: time.Hour, Logf: t.Logf,
 		OnRound: func(rs RoundStats) {
 			select {
@@ -622,12 +452,170 @@ func TestSyncParallelPeersConverge(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		srv := merklePeerServer(t, fmt.Sprintf("p%d", p), src, nil)
-		peers = append(peers, NewClient(fmt.Sprintf("p%d", p), srv.URL, time.Second))
+		peers = append(peers, newPeer(t, src).client(fmt.Sprintf("p%d", p)))
 	}
 	sy := &Syncer{Store: dst, Peers: peers, Concurrency: 2, Logf: t.Logf}
 	rs := sy.SyncOnce(context.Background())
 	if rs.Failures != 0 || rs.Peers != 5 || dst.Len() != 20 {
 		t.Fatalf("parallel round: %+v len=%d, want 5 peers 20 records", rs, dst.Len())
 	}
+}
+
+// TestSyncEchoingPeerTerminates pins that the walk follows only valid
+// direct children of the prefix it asked about, each at most once. The
+// peer answers every digests request with the queried prefix itself,
+// one divergent child listed twice, a grandchild, a non-hex node and
+// a sibling's child. Following the echo would recurse until the round's
+// deadline; the walk instead takes the single child path down to one
+// leaf per tier.
+func TestSyncEchoingPeerTerminates(t *testing.T) {
+	var digests, leaves atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("/cluster/digests/", func(w http.ResponseWriter, r *http.Request) {
+		digests.Add(1)
+		prefix := strings.TrimPrefix(r.URL.Path, "/cluster/digests/")
+		node := func(p string) store.PrefixDigest {
+			return store.PrefixDigest{Prefix: p, Count: 1, Digest: "ee", MemoCount: 1, MemoDigest: "ee"}
+		}
+		ds := []store.PrefixDigest{node(prefix), node(prefix + "0"), node(prefix + "0"), node(prefix + "00"), node(prefix + "x")}
+		if prefix != "" {
+			ds = append(ds, node("1"+prefix[1:]+"0"))
+		}
+		json.NewEncoder(w).Encode(ds)
+	})
+	mux.HandleFunc("/cluster/leaf/", func(w http.ResponseWriter, r *http.Request) {
+		leaves.Add(1)
+		io.WriteString(w, "[]")
+	})
+	mux.HandleFunc("/cluster/memoleaf/", func(w http.ResponseWriter, r *http.Request) {
+		leaves.Add(1)
+	})
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	sy := &Syncer{Store: openStore(t), Peers: []*Client{NewClient("echo", srv.URL, time.Second)}}
+	sy.SyncOnce(ctx)
+	if ctx.Err() != nil {
+		t.Fatalf("round ran into its deadline after %d digests requests", digests.Load())
+	}
+	// one digests request per interior level and one leaf pull, per tier
+	if got, want := digests.Load(), int64(2*store.MerkleDepth); got != want {
+		t.Fatalf("%d digests requests, want %d", got, want)
+	}
+	if got := leaves.Load(); got != 2 {
+		t.Fatalf("%d leaf pulls, want 2", got)
+	}
+}
+
+// TestSyncNearlyConvergedWireCost pins what delta replication buys.
+// Nearly-converged stores (10k records with 1, 8 or 32 divergent
+// verdicts, or 2k memo classes with 8 divergent) converge in one round
+// to identical digests at every depth. The bytes on the wire stay at
+// least 10x below a full ExportRecords (and ExportMemoPrefix) of the
+// divergent top-level nodes — the segments a whole-subtree pull would
+// move.
+func TestSyncNearlyConvergedWireCost(t *testing.T) {
+	cases := []struct {
+		name                             string
+		divergent, memos, memosDivergent int
+	}{
+		{"verdicts-1-of-10k", 1, 0, 0},
+		{"verdicts-8-of-10k", 8, 0, 0},
+		{"verdicts-32-of-10k", 32, 0, 0},
+		{"memo-8-of-2k", 0, 2000, 8},
+	}
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(1000 + i)))
+			randFp := func() string {
+				b := make([]byte, 32)
+				rng.Read(b)
+				return fmt.Sprintf("%x", b)
+			}
+			src, dst := openStore(t), openStore(t)
+			for i := 0; i < 10_000; i++ {
+				rec := &store.Record{Fingerprint: randFp(), Elements: 3, Source: "exact"}
+				if err := src.Put(rec); err != nil {
+					t.Fatal(err)
+				}
+				if i >= tc.divergent {
+					if err := dst.Put(rec); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for i := 0; i < tc.memos; i++ {
+				key := randFp()
+				sigs := [][]byte{make([]byte, 24), make([]byte, 24)}
+				rng.Read(sigs[0])
+				rng.Read(sigs[1])
+				if err := src.PutMemo(key, nil, sigs); err != nil {
+					t.Fatal(err)
+				}
+				if i >= tc.memosDivergent {
+					if err := dst.PutMemo(key, nil, sigs); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+
+			whole := wholeNodeExportBytes(t, src, dst)
+			cli := newPeer(t, src).client("src")
+			sy := &Syncer{Store: dst, Peers: []*Client{cli}, Logf: t.Logf}
+			if rs := sy.SyncOnce(context.Background()); rs.Failures != 0 || rs.Records != tc.divergent+tc.memosDivergent {
+				t.Fatalf("round: %+v, want %d records", rs, tc.divergent+tc.memosDivergent)
+			}
+			requireConverged(t, src, dst)
+			wire := cli.BytesRx() + cli.BytesTx()
+			t.Logf("wire %d B, whole-node export %d B, %.1fx", wire, whole, float64(whole)/float64(wire))
+			if 10*wire > whole {
+				t.Fatalf("wire %d B is not 10x below the %d B whole-node export", wire, whole)
+			}
+		})
+	}
+}
+
+// wholeNodeExportBytes sizes a full export, from src, of every
+// top-level node whose digest differs between src and dst, per tier.
+func wholeNodeExportBytes(t *testing.T, src, dst *store.Store) int64 {
+	t.Helper()
+	sd, err := src.Digests("", 1, true, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dd, err := dst.Digests("", 1, true, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := map[string]store.PrefixDigest{}
+	for _, d := range dd {
+		local[d.Prefix] = d
+	}
+	var total int64
+	for _, d := range sd {
+		l := local[d.Prefix]
+		if d.Digest != l.Digest {
+			var fps []string
+			for _, fp := range src.Fingerprints() {
+				if strings.HasPrefix(fp, d.Prefix) {
+					fps = append(fps, fp)
+				}
+			}
+			seg, _, err := src.ExportRecords(fps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total += int64(len(seg))
+		}
+		if d.MemoDigest != l.MemoDigest {
+			seg, _, err := src.ExportMemoPrefix(d.Prefix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total += int64(len(seg))
+		}
+	}
+	return total
 }

@@ -25,25 +25,15 @@ import (
 // result. Budget aborts (MaxCandidates) cancel everything and are the
 // one documented source of nondeterminism under Workers > 1.
 //
-// The pruners run in the workers too. The memo table is either shared
-// (striped locks, every worker probes and stores the same table) or
-// per-worker (each worker stores only its own single-stripe table,
-// probing it plus the master table — frozen during the length — and
-// merging into the master at the end-of-length barrier). Either way
-// the per-pruner Stats are lower bounds: cancelled speculative
-// subtrees lose their tallies, and memo hits depend on timing.
+// The pruners run in the workers too. Every worker probes and stores
+// the one shared memo table (striped locks). The per-pruner Stats are
+// lower bounds: cancelled speculative subtrees lose their tallies,
+// and memo hits depend on timing.
 
 // pruneTally accumulates one worker's pruner cuts; merged into Stats
 // after the pool drains.
 type pruneTally struct {
 	sym, memo, seeded, bound int64
-}
-
-// workerMemo is one worker's view of the transposition table: the
-// tables to probe (in order) and the single table it may write.
-type workerMemo struct {
-	probe []*memoTable
-	store *memoTable // nil = memoization off
 }
 
 // searchLengthParallel explores one cycle length with the given
@@ -102,7 +92,6 @@ func searchLengthParallel(ctx context.Context, p *problem, n, workers, splitDept
 		workers = len(prefixes)
 	}
 	tallies := make([]pruneTally, workers)
-	locals := make([]*memoTable, workers)
 	// cancellation hook: a done context trips the same stop flag the
 	// budget abort uses, draining the pool promptly
 	watcherDone := make(chan struct{})
@@ -127,18 +116,6 @@ func searchLengthParallel(ctx context.Context, p *problem, n, workers, splitDept
 			}
 			ls := newState(p, n, minCount, totalMin, ck)
 			defer ls.releaseSigbuf()
-			var wm workerMemo
-			if mt != nil {
-				if p.memoPerWorker {
-					// local table written lock-free-ish (single stripe,
-					// uncontended); the shared master is probe-only until
-					// the barrier merge below.
-					locals[w] = newMemoTable(p.memoEntries, 1)
-					wm = workerMemo{probe: []*memoTable{locals[w], mt}, store: locals[w]}
-				} else {
-					wm = workerMemo{probe: []*memoTable{mt}, store: mt}
-				}
-			}
 			var nodes int64
 			defer func() { nodeTotal.Add(nodes) }()
 			for idx := range work {
@@ -149,7 +126,7 @@ func searchLengthParallel(ctx context.Context, p *problem, n, workers, splitDept
 				for i, sym := range pfx {
 					ls.place(i, sym)
 				}
-				searchSubtree(ls, idx, len(pfx), &nodes, &tallies[w], wm, &stop, &budgetHit, &candTotal, &bestIdx, &mu, &best)
+				searchSubtree(ls, idx, len(pfx), &nodes, &tallies[w], mt, &stop, &budgetHit, &candTotal, &bestIdx, &mu, &best)
 				for i := len(pfx) - 1; i >= 0; i-- {
 					ls.unplace(i, pfx[i])
 				}
@@ -169,15 +146,6 @@ func searchLengthParallel(ctx context.Context, p *problem, n, workers, splitDept
 		st.PrunedByMemo += int(tallies[w].memo)
 		st.PrunedBySeededMemo += int(tallies[w].seeded)
 		st.PrunedByBound += int(tallies[w].bound)
-	}
-	if mt != nil && p.memoPerWorker {
-		// barrier merge: next length (and the next prefix enumeration)
-		// probes everything any worker refuted this length
-		for _, local := range locals {
-			if local != nil {
-				local.mergeInto(mt)
-			}
-		}
 	}
 	if err := ctx.Err(); err != nil {
 		// a canceled search may have been stopped before the
@@ -271,7 +239,7 @@ func enumPrefixes(p *problem, n int, minCount []int, totalMin, depth int, mt *me
 // records the subtree's lexicographically first feasible schedule
 // into best when it improves on bestIdx, and aborts early when a
 // lower-indexed subtree has already won or the budget tripped.
-func searchSubtree(ls *state, idx, from int, nodes *int64, tally *pruneTally, wm workerMemo,
+func searchSubtree(ls *state, idx, from int, nodes *int64, tally *pruneTally, mt *memoTable,
 	stop, budgetHit *atomic.Bool, candTotal, bestIdx *atomic.Int64, mu *sync.Mutex, best **sched.Schedule) {
 
 	p := ls.p
@@ -302,18 +270,15 @@ func searchSubtree(ls *state, idx, from int, nodes *int64, tally *pruneTally, wm
 			}
 			return true, false
 		}
-		memoable := wm.store != nil && ls.memoEligible(pos)
+		memoable := mt != nil && ls.memoEligible(pos)
 		if memoable {
-			sig := ls.buildSig(pos)
-			for _, t := range wm.probe {
-				switch t.probe(sig) {
-				case memoHitDerived:
-					tally.memo++
-					return true, true
-				case memoHitSeeded:
-					tally.seeded++
-					return true, true
-				}
+			switch mt.probe(ls.buildSig(pos)) {
+			case memoHitDerived:
+				tally.memo++
+				return true, true
+			case memoHitSeeded:
+				tally.seeded++
+				return true, true
 			}
 		}
 		leafFree := true
@@ -346,7 +311,7 @@ func searchSubtree(ls *state, idx, from int, nodes *int64, tally *pruneTally, wm
 		}
 		ls.slots[pos] = 0
 		if leafFree && memoable {
-			wm.store.store(ls.buildSig(pos))
+			mt.store(ls.buildSig(pos))
 		}
 		return true, leafFree
 	}

@@ -116,21 +116,3 @@ func BenchmarkMemoSeededProbe(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkMemoMergeInto prices the parallel barrier merge: per-worker
-// tables union into the survivor as strings (storeString), never
-// round-tripping through []byte. Allocations stay bounded by map
-// growth, not by entry count × conversions.
-func BenchmarkMemoMergeInto(b *testing.B) {
-	sigs := e3Sigs(b)
-	src := newMemoTable(0, 1)
-	for _, sig := range sigs {
-		src.store(sig)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst := newMemoTable(0, 1)
-		src.mergeInto(dst)
-	}
-}

@@ -140,42 +140,6 @@ func (t *memoTable) store(sig []byte) {
 	s.mu.Unlock()
 }
 
-// storeString is store for a signature already held as a map key: the
-// string is inserted directly, avoiding the []byte round-trip (and its
-// two allocations) the barrier merge used to pay per entry.
-func (t *memoTable) storeString(sig string) {
-	var s *memoStripe
-	if len(t.stripes) == 1 {
-		s = &t.stripes[0]
-	} else {
-		h := uint32(2166136261)
-		for i := 0; i < len(sig); i++ {
-			h ^= uint32(sig[i])
-			h *= 16777619
-		}
-		s = &t.stripes[h%uint32(len(t.stripes))]
-	}
-	s.mu.Lock()
-	if _, ok := s.m[sig]; !ok {
-		if len(s.m) >= t.stripeCap {
-			clear(s.m)
-		}
-		s.m[sig] = struct{}{}
-	}
-	s.mu.Unlock()
-}
-
-// mergeInto unions t's entries into dst (the per-worker-table barrier
-// merge of the parallel search). Keys move as strings — no per-entry
-// byte-slice copies.
-func (t *memoTable) mergeInto(dst *memoTable) {
-	for i := range t.stripes {
-		for sig := range t.stripes[i].m {
-			dst.storeString(sig)
-		}
-	}
-}
-
 // memoEligible reports whether the residual state at pos can be
 // summarized by buildSig: the sliding-window history must cover every
 // active sliding deadline (so in-subtree window arithmetic never

@@ -142,10 +142,9 @@ func TestPrunerStatsDeterministic(t *testing.T) {
 	}
 }
 
-// TestMemoSharingModes runs the parallel search in both transposition
-// table modes (shared striped table vs. per-worker tables with a
-// barrier merge) and pins the verdict and witness against the
-// sequential search.
+// TestMemoSharingModes runs the parallel search over the shared
+// striped transposition table and pins the verdict and witness
+// against the sequential search.
 func TestMemoSharingModes(t *testing.T) {
 	m3, opt3 := e3Model(t, []int{7, 5, 5, 5, 5, 5}, 16)
 	cases := []struct {
@@ -160,17 +159,14 @@ func TestMemoSharingModes(t *testing.T) {
 		seq := tc.opt
 		seq.Workers = 1
 		wantS, _, wantErr := FindSchedule(tc.m, seq)
-		for _, perWorker := range []bool{false, true} {
-			opt := tc.opt
-			opt.Workers = 4
-			opt.MemoPerWorker = perWorker
-			s, _, err := FindSchedule(tc.m, opt)
-			if (err == nil) != (wantErr == nil) || (err != nil && !errors.Is(err, wantErr)) {
-				t.Fatalf("%s perWorker=%v: err = %v, sequential = %v", tc.name, perWorker, err, wantErr)
-			}
-			if (s == nil) != (wantS == nil) || (s != nil && !s.Equal(wantS)) {
-				t.Fatalf("%s perWorker=%v: schedule %v, sequential %v", tc.name, perWorker, s, wantS)
-			}
+		opt := tc.opt
+		opt.Workers = 4
+		s, _, err := FindSchedule(tc.m, opt)
+		if (err == nil) != (wantErr == nil) || (err != nil && !errors.Is(err, wantErr)) {
+			t.Fatalf("%s: err = %v, sequential = %v", tc.name, err, wantErr)
+		}
+		if (s == nil) != (wantS == nil) || (s != nil && !s.Equal(wantS)) {
+			t.Fatalf("%s: schedule %v, sequential %v", tc.name, s, wantS)
 		}
 	}
 }

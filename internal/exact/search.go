@@ -65,11 +65,6 @@ type Options struct {
 	// MemoEntries bounds the transposition table (0 = default 2^18
 	// entries; negative disables memoization like DisableMemo).
 	MemoEntries int
-	// MemoPerWorker switches the parallel search from one shared
-	// striped-lock table to per-worker tables merged at each length
-	// barrier (no lock contention, less sharing). Ignored when
-	// Workers ≤ 1.
-	MemoPerWorker bool
 	// SeedMemo pre-loads the transposition table with signatures
 	// exported by a previous search (Stats.MemoSnapshot) of a problem
 	// in the same memo class (MemoKey). Seeding is verdict-invisible
@@ -185,7 +180,7 @@ func FindScheduleCtx(ctx context.Context, m *core.Model, opt Options) (*sched.Sc
 	var mt *memoTable
 	if p.memoOK {
 		stripes := 1
-		if workers > 1 && !p.memoPerWorker {
+		if workers > 1 {
 			stripes = memoStripes
 		}
 		mt = newMemoTable(p.memoEntries, stripes)

@@ -45,9 +45,8 @@ type problem struct {
 	hasHall  bool
 	// memoOK gates memoization on representability: every signature
 	// component must fit its encoding.
-	memoOK        bool
-	memoEntries   int
-	memoPerWorker bool
+	memoOK      bool
+	memoEntries int
 }
 
 // needPair is one element's slot demand inside a deadline window.
@@ -106,7 +105,6 @@ func newProblem(m *core.Model, opt Options) *problem {
 
 	p.bounds = !opt.DisableBounds
 	p.memoEntries = opt.MemoEntries
-	p.memoPerWorker = opt.MemoPerWorker
 	if !opt.DisableMemo && opt.MemoEntries >= 0 {
 		// every signature component must fit its encoding: one byte
 		// per symbol id, one bit per spec / orbit symbol

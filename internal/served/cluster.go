@@ -2,7 +2,6 @@ package served
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -10,7 +9,6 @@ import (
 
 	"rtm/internal/cluster"
 	"rtm/internal/core"
-	"rtm/internal/store"
 )
 
 // Cluster request routing. The rules, in order:
@@ -122,41 +120,18 @@ func validFingerprintShape(id string) bool {
 	return true
 }
 
-// handleManifest serves this node's store manifest for anti-entropy
-// sync: per-bucket record counts and fingerprint-set digests.
-func (d *Daemon) handleManifest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET /cluster/manifest", http.StatusMethodNotAllowed)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(cluster.ManifestDoc{
-		Node:        d.cl.NodeID,
-		Buckets:     d.cl.Store.Manifest(),
-		MerkleDepth: store.MerkleDepth,
-	})
-}
-
-// handleDigests serves the Merkle narrowing step
-// (GET /cluster/digests/<prefix>?depth=D[&tier=v|m]): the non-empty
-// prefix nodes at depth D under <prefix>, with counts and digests for
-// the requested tiers. Same trust model as the manifest: digests only
-// decide what a peer pulls; every pulled byte is re-validated on
-// import.
+// handleDigests serves one step of the Merkle walk
+// (GET /cluster/digests/<prefix>[?tier=v|m]): the non-empty direct
+// children of <prefix>, with counts and digests for the requested
+// tiers. The empty prefix yields the top level, which carries
+// full-width digests. Digests only decide what a peer pulls; every
+// pulled byte is re-validated on import.
 func (d *Daemon) handleDigests(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET /cluster/digests/<prefix>", http.StatusMethodNotAllowed)
 		return
 	}
 	prefix := strings.TrimPrefix(r.URL.Path, "/cluster/digests/")
-	depth := len(prefix) + 1
-	if v := r.URL.Query().Get("depth"); v != "" {
-		var err error
-		if depth, err = strconv.Atoi(v); err != nil {
-			http.Error(w, "depth must be an integer", http.StatusBadRequest)
-			return
-		}
-	}
 	withVerdict, withMemo := true, true
 	switch r.URL.Query().Get("tier") {
 	case "":
@@ -168,7 +143,7 @@ func (d *Daemon) handleDigests(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "tier must be v or m", http.StatusBadRequest)
 		return
 	}
-	ds, err := d.cl.Store.Digests(prefix, depth, withVerdict, withMemo)
+	ds, err := d.cl.Store.Digests(prefix, len(prefix)+1, withVerdict, withMemo)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -242,56 +217,6 @@ func (d *Daemon) handleMemoLeaf(w http.ResponseWriter, r *http.Request) {
 	seg, n, err := d.cl.Store.ExportMemoPrefix(strings.TrimPrefix(r.URL.Path, "/cluster/memoleaf/"))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Rtm-Records", strconv.Itoa(n))
-	w.Write(seg)
-}
-
-// handleSegment serves one sealed store segment
-// (GET /cluster/segment/<bucket>): the bucket's records, sorted and
-// CRC-framed — the unit of replication. The puller validates every
-// frame on import, so this endpoint needs no trust from its peers and
-// extends none.
-func (d *Daemon) handleSegment(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET /cluster/segment/<bucket>", http.StatusMethodNotAllowed)
-		return
-	}
-	b, err := strconv.Atoi(strings.TrimPrefix(r.URL.Path, "/cluster/segment/"))
-	if err != nil || b < 0 || b >= store.ManifestBuckets {
-		http.Error(w, fmt.Sprintf("bucket must be an integer in [0,%d)", store.ManifestBuckets), http.StatusBadRequest)
-		return
-	}
-	seg, n, err := d.cl.Store.ExportBucket(b)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Rtm-Records", strconv.Itoa(n))
-	w.Write(seg)
-}
-
-// handleMemoSegment serves one sealed memo segment
-// (GET /cluster/memoseg/<bucket>): the bucket's refutation-cache
-// records, sorted by memo key and CRC-framed. Same trust model as
-// handleSegment — the puller's import validates every frame, and a
-// seeded signature can only ever match by exact bytes.
-func (d *Daemon) handleMemoSegment(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET /cluster/memoseg/<bucket>", http.StatusMethodNotAllowed)
-		return
-	}
-	b, err := strconv.Atoi(strings.TrimPrefix(r.URL.Path, "/cluster/memoseg/"))
-	if err != nil || b < 0 || b >= store.ManifestBuckets {
-		http.Error(w, fmt.Sprintf("bucket must be an integer in [0,%d)", store.ManifestBuckets), http.StatusBadRequest)
-		return
-	}
-	seg, n, err := d.cl.Store.ExportMemoBucket(b)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")

@@ -254,9 +254,8 @@ func TestClusterCorruptSegmentSkippedAndHealed(t *testing.T) {
 	}
 	fp := fpList[0]
 
-	// a corrupting man-in-the-middle proxy in front of A: manifests and
-	// digests pass through, record bytes (whole-bucket segments AND
-	// Merkle delta fetches) get every byte flipped
+	// a corrupting man-in-the-middle proxy in front of A: digests and
+	// leaf sets pass through, record fetches get every byte flipped
 	evil := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		req, err := http.NewRequest(r.Method, a.srv.URL+r.URL.String(), r.Body)
 		if err != nil {
@@ -271,7 +270,7 @@ func TestClusterCorruptSegmentSkippedAndHealed(t *testing.T) {
 		}
 		defer up.Body.Close()
 		raw, _ := io.ReadAll(up.Body)
-		if strings.HasPrefix(r.URL.Path, "/cluster/segment/") || r.URL.Path == "/cluster/fetch" {
+		if r.URL.Path == "/cluster/fetch" {
 			for i := range raw {
 				raw[i] ^= 0xa5
 			}
@@ -308,8 +307,10 @@ func TestClusterCorruptSegmentSkippedAndHealed(t *testing.T) {
 	}
 }
 
-// TestClusterManifestEndpoints exercises the replication wire surface
-// directly: manifest shape, segment framing, and bad-bucket rejection.
+// TestClusterManifestEndpoints exercises the top level of the
+// replication tree on a real daemon — the root's children, which a
+// sync round compares first: per-node counts over the whole store and
+// full-width digests.
 func TestClusterManifestEndpoints(t *testing.T) {
 	nodes := newFleet(t, 3, nil)
 	a := nodes[0]
@@ -318,46 +319,25 @@ func TestClusterManifestEndpoints(t *testing.T) {
 	}
 
 	cli := cluster.NewClient(a.id, a.srv.URL, 2*time.Second)
-	doc, err := cli.Manifest(context.Background())
+	top, err := cli.Digests(context.Background(), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if doc.Node != a.id || len(doc.Buckets) != store.ManifestBuckets {
-		t.Fatalf("manifest: %+v", doc)
-	}
 	total := 0
-	for _, b := range doc.Buckets {
-		total += b.Count
-		if b.Count > 0 {
-			seg, err := cli.PullSegment(context.Background(), b.Bucket)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(seg) == 0 {
-				t.Fatalf("bucket %d: empty segment for %d records", b.Bucket, b.Count)
-			}
+	for _, d := range top {
+		total += d.Count
+		if len(d.Prefix) != 1 || (d.Count > 0 && len(d.Digest) != 64) {
+			t.Fatalf("top-level node: %+v", d)
 		}
 	}
 	if total != 1 {
-		t.Fatalf("manifest total = %d, want 1", total)
-	}
-
-	for _, path := range []string{"/cluster/segment/16", "/cluster/segment/-1", "/cluster/segment/zzz"} {
-		resp, err := http.Get(a.srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: status=%d, want 400", path, resp.StatusCode)
-		}
+		t.Fatalf("top-level total = %d, want 1", total)
 	}
 }
 
 // TestClusterMerkleEndpoints exercises the narrowing wire surface on
-// a real daemon: version advertisement, digest walks at every depth,
-// leaf fingerprint sets, delta fetches, and the 400s for malformed
-// prefixes/depths/bodies.
+// a real daemon: digest walks at every depth, leaf fingerprint sets,
+// delta fetches, and the 400s for malformed prefixes and bodies.
 func TestClusterMerkleEndpoints(t *testing.T) {
 	nodes := newFleet(t, 1, nil)
 	a := nodes[0]
@@ -367,18 +347,10 @@ func TestClusterMerkleEndpoints(t *testing.T) {
 	cli := cluster.NewClient(a.id, a.srv.URL, 2*time.Second)
 	ctx := context.Background()
 
-	doc, err := cli.Manifest(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doc.MerkleDepth != store.MerkleDepth {
-		t.Fatalf("manifest merkleDepth = %d, want %d", doc.MerkleDepth, store.MerkleDepth)
-	}
-
 	// walk the single record from the root down to its leaf
 	prefix := ""
 	for depth := 1; depth <= store.MerkleDepth; depth++ {
-		ds, err := cli.Digests(ctx, prefix, depth, "v")
+		ds, err := cli.Digests(ctx, prefix, "v")
 		if err != nil {
 			t.Fatalf("digests %q depth %d: %v", prefix, depth, err)
 		}
@@ -411,11 +383,11 @@ func TestClusterMerkleEndpoints(t *testing.T) {
 	}
 
 	for _, bad := range []string{
-		"/cluster/digests/xyz",            // non-hex prefix
-		"/cluster/digests/?depth=9",       // depth beyond the tree
-		"/cluster/digests/ab?depth=1",     // depth not past the prefix
-		"/cluster/leaf/ab",                // not a leaf-depth prefix
-		"/cluster/memoleaf/",              // root: whole-store memo export refused
+		"/cluster/digests/xyz",     // non-hex prefix
+		"/cluster/digests/fff",     // a leaf has no children
+		"/cluster/digests/?tier=x", // unknown tier
+		"/cluster/leaf/ab",         // not a leaf-depth prefix
+		"/cluster/memoleaf/",       // root: whole-store memo export refused
 	} {
 		resp, err := http.Get(a.srv.URL + bad)
 		if err != nil {

@@ -10,8 +10,9 @@
 // fingerprint-sharded peer protocol: non-owner nodes proxy /schedule
 // and /job requests to the shard owner (one hop max, with graceful
 // fallback to a local solve when the owner is unreachable), and the
-// /cluster/manifest + /cluster/segment/<bucket> endpoints serve the
-// store's anti-entropy replication.
+// /cluster/digests/<prefix>, /cluster/leaf/<prefix>, /cluster/fetch
+// and /cluster/memoleaf/<prefix> endpoints serve the store's Merkle
+// tree and records for anti-entropy replication.
 package served
 
 import (
@@ -40,8 +41,9 @@ type Cluster struct {
 	Ring *cluster.Ring
 	// Peers maps peer node IDs (never NodeID) to their clients.
 	Peers map[string]*cluster.Client
-	// Store, when non-nil, is served to peers at /cluster/manifest and
-	// /cluster/segment/<bucket> for anti-entropy replication.
+	// Store, when non-nil, is served to peers at the /cluster/digests,
+	// /cluster/leaf, /cluster/fetch and /cluster/memoleaf endpoints
+	// for anti-entropy replication.
 	Store *store.Store
 }
 
@@ -58,7 +60,7 @@ type Config struct {
 	// (0 disables).
 	RespCache int
 	// Cluster, when non-nil, enables fingerprint-sharded peer
-	// forwarding and segment replication.
+	// forwarding and Merkle replication.
 	Cluster *Cluster
 }
 
@@ -108,9 +110,6 @@ func (d *Daemon) mux() *http.ServeMux {
 		io.WriteString(w, "ok\n")
 	})
 	if d.cl != nil && d.cl.Store != nil {
-		mux.HandleFunc("/cluster/manifest", d.handleManifest)
-		mux.HandleFunc("/cluster/segment/", d.handleSegment)
-		mux.HandleFunc("/cluster/memoseg/", d.handleMemoSegment)
 		mux.HandleFunc("/cluster/digests/", d.handleDigests)
 		mux.HandleFunc("/cluster/leaf/", d.handleLeaf)
 		mux.HandleFunc("/cluster/fetch", d.handleFetch)

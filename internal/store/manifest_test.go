@@ -2,13 +2,18 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
+
+	"rtm/internal/trace"
 )
 
-// bucketRecord builds a valid record pinned to a specific manifest
-// bucket via the fingerprint's leading nibble.
+// bucketRecord builds a valid record pinned to a top-level tree node
+// (one of the root's 16 children) via the fingerprint's leading
+// nibble.
 func bucketRecord(bucket, i int) *Record {
 	fp := fmt.Sprintf("%x%063x", bucket, i+1)
 	if i%3 == 2 {
@@ -20,17 +25,27 @@ func bucketRecord(bucket, i int) *Record {
 	}
 }
 
-func TestBucketOf(t *testing.T) {
-	cases := map[string]int{
-		"0abc": 0, "9abc": 9, "aabc": 10, "fabc": 15, "": 0, "zabc": 0,
-	}
-	for fp, want := range cases {
-		if got := BucketOf(fp); got != want {
-			t.Errorf("BucketOf(%q) = %d, want %d", fp, got, want)
+// exportPrefix seals every record under prefix through ExportRecords
+// — the segment a delta fetch of the whole subtree moves.
+func exportPrefix(t *testing.T, s *Store, prefix string) ([]byte, int) {
+	t.Helper()
+	var fps []string
+	for _, fp := range s.Fingerprints() {
+		if strings.HasPrefix(fp, prefix) {
+			fps = append(fps, fp)
 		}
 	}
+	seg, n, err := s.ExportRecords(fps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seg, n
 }
 
+// TestManifestShape pins the top level of the tree — the root's
+// children, which sync compares first: one node per non-empty leading
+// nibble, with per-node counts and full-width digests. Deeper levels
+// carry routing digests truncated to DigestPrefixLen.
 func TestManifestShape(t *testing.T) {
 	s := openT(t, t.TempDir())
 	for _, b := range []int{0, 3, 3, 15} {
@@ -38,66 +53,83 @@ func TestManifestShape(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	man := s.Manifest()
-	if len(man) != ManifestBuckets {
-		t.Fatalf("manifest has %d buckets, want %d", len(man), ManifestBuckets)
+	top, err := s.Digests("", 1, true, true)
+	if err != nil {
+		t.Fatal(err)
 	}
-	counts := map[int]int{0: 1, 3: 2, 15: 1}
-	var empty BucketInfo
-	for b, info := range man {
-		if info.Bucket != b {
-			t.Fatalf("bucket %d labeled %d", b, info.Bucket)
+	counts := map[string]int{"0": 1, "3": 2, "f": 1}
+	if len(top) != len(counts) {
+		t.Fatalf("top level has %d nodes, want %d: %+v", len(top), len(counts), top)
+	}
+	for _, d := range top {
+		if d.Count != counts[d.Prefix] {
+			t.Fatalf("node %q count = %d, want %d", d.Prefix, d.Count, counts[d.Prefix])
 		}
-		if info.Count != counts[b] {
-			t.Fatalf("bucket %d count = %d, want %d", b, info.Count, counts[b])
+		if len(d.Digest) != 2*sha256.Size || d.MemoCount != 0 || d.MemoDigest != "" {
+			t.Fatalf("node %q: %+v, want a full-width verdict digest and no memo tier", d.Prefix, d)
 		}
-		if info.Digest == "" {
-			t.Fatalf("bucket %d has empty digest", b)
+	}
+	for depth := 2; depth <= MerkleDepth; depth++ {
+		ds, err := s.Digests("", depth, true, false)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if counts[b] == 0 {
-			if empty == (BucketInfo{}) {
-				empty = info
-				empty.Bucket = 0
-			}
-			got := info
-			got.Bucket = 0
-			if got != empty {
-				t.Fatalf("empty buckets disagree: %+v vs %+v", got, empty)
+		for _, d := range ds {
+			if len(d.Digest) != DigestPrefixLen {
+				t.Fatalf("depth %d node %q: digest %q, want %d hex chars", depth, d.Prefix, d.Digest, DigestPrefixLen)
 			}
 		}
 	}
 }
 
-// TestManifestDigestStableAcrossOrderings pins that the bucket digest
+// TestManifestDigestStableAcrossOrderings pins that every node digest
 // is a pure function of the fingerprint set: inserting the same
 // records in different orders (and via different code paths —
-// Put vs ImportFrames) yields identical digests.
+// Put vs ImportFrames) yields identical digests at every depth.
 func TestManifestDigestStableAcrossOrderings(t *testing.T) {
 	recs := make([]*Record, 0, 12)
 	for i := 0; i < 12; i++ {
 		recs = append(recs, bucketRecord(i%4, i))
 	}
 
-	manifestOf := func(order []int) []BucketInfo {
+	treeOf := func(order []int, viaImport bool) [][]PrefixDigest {
 		t.Helper()
 		s := openT(t, t.TempDir())
 		for _, i := range order {
-			if err := s.Put(recs[i]); err != nil {
+			if viaImport {
+				payload, err := trace.EncodeStoreRecord(recs[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				frame, err := Frame(payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.ImportFrames(frame); err != nil {
+					t.Fatal(err)
+				}
+			} else if err := s.Put(recs[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return s.Manifest()
+		var levels [][]PrefixDigest
+		for depth := 1; depth <= MerkleDepth; depth++ {
+			ds, err := s.Digests("", depth, true, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			levels = append(levels, ds)
+		}
+		return levels
 	}
 
-	base := manifestOf([]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
+	base := treeOf([]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, false)
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 4; trial++ {
 		order := rng.Perm(len(recs))
-		got := manifestOf(order)
-		for b := range base {
-			if got[b] != base[b] {
-				t.Fatalf("trial %d bucket %d: %+v != %+v (order %v)", trial, b, got[b], base[b], order)
-			}
+		got := treeOf(order, trial%2 == 1)
+		for depth := range base {
+			diffDigests(t, fmt.Sprintf("trial %d depth %d (order %v)", trial, depth+1, order), got[depth], base[depth])
 		}
 	}
 }
@@ -112,14 +144,12 @@ func TestExportImportByteExact(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for b := 0; b < ManifestBuckets; b++ {
-		seg, n, err := src.ExportBucket(b)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for b := 0; b < 16; b++ {
+		prefix := fmt.Sprintf("%x", b)
+		seg, n := exportPrefix(t, src, prefix)
 		if b > 1 {
 			if n != 0 || len(seg) != 0 {
-				t.Fatalf("bucket %d: expected empty export, got %d records", b, n)
+				t.Fatalf("prefix %s: expected empty export, got %d records", prefix, n)
 			}
 			continue
 		}
@@ -131,14 +161,11 @@ func TestExportImportByteExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		if st.Imported != n || st.Unchanged != 0 || st.Dropped {
-			t.Fatalf("bucket %d import: %+v, want %d imported", b, st, n)
+			t.Fatalf("prefix %s import: %+v, want %d imported", prefix, st, n)
 		}
-		back, n2, err := dst.ExportBucket(b)
-		if err != nil {
-			t.Fatal(err)
-		}
+		back, n2 := exportPrefix(t, dst, prefix)
 		if n2 != n || !bytes.Equal(back, seg) {
-			t.Fatalf("bucket %d: re-export differs (%d vs %d records)", b, n2, n)
+			t.Fatalf("prefix %s: re-export differs (%d vs %d records)", prefix, n2, n)
 		}
 		// idempotence: importing again changes nothing
 		st2, err := dst.ImportFrames(seg)
@@ -146,7 +173,7 @@ func TestExportImportByteExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		if st2.Imported != 0 || st2.Unchanged != n || st2.Dropped {
-			t.Fatalf("bucket %d re-import: %+v, want %d unchanged", b, st2, n)
+			t.Fatalf("prefix %s re-import: %+v, want %d unchanged", prefix, st2, n)
 		}
 
 		// imported records survive a restart through the local log
@@ -155,7 +182,7 @@ func TestExportImportByteExact(t *testing.T) {
 		}
 		re := openT(t, dstDir)
 		if re.Len() != n || re.CorruptSkipped() != 0 {
-			t.Fatalf("bucket %d reopen after import: len=%d corrupt=%d", b, re.Len(), re.CorruptSkipped())
+			t.Fatalf("prefix %s reopen after import: len=%d corrupt=%d", prefix, re.Len(), re.CorruptSkipped())
 		}
 	}
 }
@@ -174,9 +201,9 @@ func TestImportCorruptSegmentSkippedNotServed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	seg, n, err := src.ExportBucket(5)
-	if err != nil || n != 3 {
-		t.Fatalf("export: n=%d err=%v", n, err)
+	seg, n := exportPrefix(t, src, "5")
+	if n != 3 {
+		t.Fatalf("export: n=%d, want 3", n)
 	}
 
 	var sawDrop, sawPartial bool
@@ -229,10 +256,7 @@ func TestImportFirstWriteWins(t *testing.T) {
 	if err := remote.Put(theirs); err != nil {
 		t.Fatal(err)
 	}
-	seg, _, err := remote.ExportBucket(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seg, _ := exportPrefix(t, remote, "2")
 
 	st, err := local.ImportFrames(seg)
 	if err != nil {

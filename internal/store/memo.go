@@ -3,9 +3,7 @@ package store
 import (
 	"bufio"
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"os"
@@ -49,7 +47,7 @@ const memoLogName = "memo.log"
 // DefaultMemoSigCap bounds the signatures kept per memo class when
 // Options.MemoSigCap is zero. At typical signature sizes (tens of
 // bytes) a full class costs ~200 KB framed — small enough to pull
-// whole buckets during sync, large enough to hold every refutation the
+// whole leaves during sync, large enough to hold every refutation the
 // bench workloads derive.
 const DefaultMemoSigCap = 4096
 
@@ -440,23 +438,12 @@ func (s *Store) compactMemoLocked() error {
 	return nil
 }
 
-// memoBucketDigest hashes one bucket's memo content: for each class
-// key in sorted order, the key, the fingerprint set, and every
+// writeMemoRecordDigest streams one record's digest content into a
+// Merkle leaf hash: the key, the fingerprint set, and every
 // signature, all length-prefixed. Unlike the verdict digest (a set of
 // fingerprints), memo records mutate by merging, so the digest must
 // cover record content for replicas to detect divergence; Unix is
 // excluded so converged replicas agree.
-func memoBucketDigest(recs []*MemoRecord) string {
-	h := sha256.New()
-	for _, r := range recs {
-		writeMemoRecordDigest(h, r)
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// writeMemoRecordDigest streams one record's digest content into h —
-// shared between the bucket digest and the Merkle leaf digests so a
-// leaf concatenation reproduces the bucket stream byte for byte.
 func writeMemoRecordDigest(h io.Writer, r *MemoRecord) {
 	if r == nil {
 		return
@@ -476,33 +463,6 @@ func writeMemoRecordDigest(h io.Writer, r *MemoRecord) {
 		wInt(len(sg))
 		h.Write(sg)
 	}
-}
-
-// memoBucketLocked returns the bucket's records sorted by key.
-func (s *Store) memoBucketLocked(b int) []*MemoRecord {
-	var recs []*MemoRecord
-	for k, r := range s.memo {
-		if BucketOf(k) == b {
-			recs = append(recs, r)
-		}
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Key < recs[j].Key })
-	return recs
-}
-
-// ExportMemoBucket seals memo bucket b (classes whose key falls in the
-// bucket) as a self-contained segment of CRC-framed memo records,
-// sorted by key. Returns the segment and the record count.
-func (s *Store) ExportMemoBucket(b int) ([]byte, int, error) {
-	if b < 0 || b >= ManifestBuckets {
-		return nil, 0, fmt.Errorf("store: bucket %d outside [0,%d)", b, ManifestBuckets)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, 0, fmt.Errorf("store: closed")
-	}
-	return s.exportMemoRangeLocked(b*leavesPerBucket, (b+1)*leavesPerBucket)
 }
 
 // ImportMemoFrames replays a sealed memo segment, merging each record

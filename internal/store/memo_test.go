@@ -259,15 +259,15 @@ func TestMemoManifestDigest(t *testing.T) {
 	if err := a.PutMemo(key, nil, memoSigs(0, 5)); err != nil {
 		t.Fatal(err)
 	}
-	mb := a.Manifest()[BucketOf(key)]
+	mb := topNode(t, a, key)
 	if mb.MemoCount != 1 || mb.MemoDigest == "" {
-		t.Fatalf("manifest bucket: %+v", mb)
+		t.Fatalf("top-level node: %+v", mb)
 	}
-	// an empty bucket digests to the hash of nothing, and must differ
-	// from a populated bucket's digest
-	eb := b.Manifest()[BucketOf(key)]
+	// an empty node carries no digest, so it differs from a populated
+	// node's
+	eb := topNode(t, b, key)
 	if eb.MemoCount != 0 || eb.MemoDigest == mb.MemoDigest {
-		t.Fatalf("empty bucket: %+v", eb)
+		t.Fatalf("empty node: %+v", eb)
 	}
 	// same content reached differently (two merges) → same digest
 	if err := b.PutMemo(key, nil, memoSigs(3, 2)); err != nil {
@@ -276,13 +276,29 @@ func TestMemoManifestDigest(t *testing.T) {
 	if err := b.PutMemo(key, nil, memoSigs(0, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if db := b.Manifest()[BucketOf(key)]; db.MemoDigest != mb.MemoDigest {
+	if db := topNode(t, b, key); db.MemoDigest != mb.MemoDigest {
 		t.Fatalf("converged content, diverged digests:\n%s\n%s", mb.MemoDigest, db.MemoDigest)
 	}
 	// verdict side is untouched by memo writes
 	if mb.Count != 0 {
-		t.Fatalf("memo write leaked into the verdict manifest: %+v", mb)
+		t.Fatalf("memo write leaked into the verdict tier: %+v", mb)
 	}
+}
+
+// topNode returns the top-level tree node (depth 1) covering key, or
+// the zero node when it is empty.
+func topNode(t *testing.T, s *Store, key string) PrefixDigest {
+	t.Helper()
+	ds, err := s.Digests("", 1, true, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range ds {
+		if d.Prefix == key[:1] {
+			return d
+		}
+	}
+	return PrefixDigest{Prefix: key[:1]}
 }
 
 func TestMemoExportImport(t *testing.T) {
@@ -298,8 +314,8 @@ func TestMemoExportImport(t *testing.T) {
 	if err := b.PutMemo(keys[0], nil, memoSigs(2, 4)); err != nil {
 		t.Fatal(err)
 	}
-	for bk := 0; bk < ManifestBuckets; bk++ {
-		seg, _, err := a.ExportMemoBucket(bk)
+	for bk := 0; bk < 16; bk++ {
+		seg, _, err := a.ExportMemoPrefix(fmt.Sprintf("%x", bk))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -326,7 +342,7 @@ func TestMemoExportImport(t *testing.T) {
 	}
 
 	// torn segment: clean prefix imported, Dropped set
-	seg, _, err := a.ExportMemoBucket(BucketOf(keys[0]))
+	seg, _, err := a.ExportMemoPrefix(keys[0][:1])
 	if err != nil {
 		t.Fatal(err)
 	}

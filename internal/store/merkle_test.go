@@ -20,11 +20,6 @@ func TestLeafOf(t *testing.T) {
 			t.Errorf("LeafOf(%q) = %#x, want %#x", fp, got, want)
 		}
 	}
-	// leaf and bucket partitions must nest
-	fp := bucketRecord(11, 7).Fingerprint
-	if LeafOf(fp)/leavesPerBucket != BucketOf(fp) {
-		t.Fatalf("leaf %d of %s outside bucket %d", LeafOf(fp), fp, BucketOf(fp))
-	}
 }
 
 func TestValidPrefix(t *testing.T) {
@@ -59,38 +54,19 @@ func randRecord(rng *rand.Rand) *Record {
 	return &Record{Fingerprint: fp, Feasible: true, Elements: 2, Slots: []int{0, rng.Intn(2)}, Source: "exact"}
 }
 
-// refManifest recomputes the manifest from scratch the pre-Merkle way
-// — full sort and hash over the live indexes — as the oracle for the
-// incrementally-maintained digests.
-func refManifest(s *Store) []BucketInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	byBucket := make([][]string, ManifestBuckets)
-	for fp := range s.index {
-		b := BucketOf(fp)
-		byBucket[b] = append(byBucket[b], fp)
-	}
-	out := make([]BucketInfo, ManifestBuckets)
-	for b, fps := range byBucket {
-		sort.Strings(fps)
-		h := sha256.New()
-		for _, fp := range fps {
-			h.Write([]byte(fp))
-		}
-		memo := s.memoBucketLocked(b)
-		out[b] = BucketInfo{
-			Bucket:     b,
-			Count:      len(fps),
-			Digest:     hex.EncodeToString(h.Sum(nil)),
-			MemoCount:  len(memo),
-			MemoDigest: memoBucketDigest(memo),
-		}
-	}
-	return out
+// refNode is one node of the reference tree: member count and raw
+// digest.
+type refNode struct {
+	n   int
+	sum []byte
 }
 
-// refLeaves recomputes the non-empty leaf digests from scratch.
-func refLeaves(s *Store) []PrefixDigest {
+// refTree recomputes both tiers' trees from scratch — leaves from the
+// live indexes, each interior node as SHA-256 over its non-empty
+// children's digests — as the oracle for the incrementally maintained
+// leaf state. It returns the non-empty nodes at depths 1..MerkleDepth
+// in the wire form Digests produces.
+func refTree(s *Store) [][]PrefixDigest {
 	s.mu.Lock()
 	vByLeaf := make(map[int][]string)
 	for fp := range s.index {
@@ -103,26 +79,61 @@ func refLeaves(s *Store) []PrefixDigest {
 		mByLeaf[l] = append(mByLeaf[l], r)
 	}
 	s.mu.Unlock()
-	var out []PrefixDigest
+	v, m := make([]refNode, MerkleLeaves), make([]refNode, MerkleLeaves)
 	for l := 0; l < MerkleLeaves; l++ {
-		fps, recs := vByLeaf[l], mByLeaf[l]
-		if len(fps) == 0 && len(recs) == 0 {
-			continue
+		if fps := vByLeaf[l]; len(fps) > 0 {
+			sort.Strings(fps)
+			h := sha256.New()
+			for _, fp := range fps {
+				h.Write([]byte(fp))
+			}
+			v[l] = refNode{len(fps), h.Sum(nil)}
 		}
-		sort.Strings(fps)
-		sort.Slice(recs, func(i, j int) bool { return recs[i].Key < recs[j].Key })
-		d := PrefixDigest{Prefix: fmt.Sprintf("%0*x", MerkleDepth, l)}
-		if len(fps) > 0 {
-			d.Count = len(fps)
-			d.Digest = hashStrings(fps)[:DigestPrefixLen]
+		if recs := mByLeaf[l]; len(recs) > 0 {
+			sort.Slice(recs, func(i, j int) bool { return recs[i].Key < recs[j].Key })
+			h := sha256.New()
+			for _, r := range recs {
+				writeMemoRecordDigest(h, r)
+			}
+			m[l] = refNode{len(recs), h.Sum(nil)}
 		}
-		if len(recs) > 0 {
-			d.MemoCount = len(recs)
-			d.MemoDigest = memoBucketDigest(recs)[:DigestPrefixLen]
-		}
-		out = append(out, d)
 	}
-	return out
+	fold := func(level []refNode) []refNode {
+		up := make([]refNode, len(level)/16)
+		for i := range up {
+			h := sha256.New()
+			for _, c := range level[16*i : 16*i+16] {
+				if c.n > 0 {
+					up[i].n += c.n
+					h.Write(c.sum)
+				}
+			}
+			up[i].sum = h.Sum(nil)
+		}
+		return up
+	}
+	levels := make([][]PrefixDigest, MerkleDepth)
+	for depth := MerkleDepth; depth >= 1; depth-- {
+		width := DigestPrefixLen
+		if depth == 1 {
+			width = 2 * sha256.Size
+		}
+		for i := range v {
+			if v[i].n == 0 && m[i].n == 0 {
+				continue
+			}
+			d := PrefixDigest{Prefix: fmt.Sprintf("%0*x", depth, i)}
+			if v[i].n > 0 {
+				d.Count, d.Digest = v[i].n, hex.EncodeToString(v[i].sum)[:width]
+			}
+			if m[i].n > 0 {
+				d.MemoCount, d.MemoDigest = m[i].n, hex.EncodeToString(m[i].sum)[:width]
+			}
+			levels[depth-1] = append(levels[depth-1], d)
+		}
+		v, m = fold(v), fold(m)
+	}
+	return levels
 }
 
 func diffDigests(t *testing.T, step string, got, want []PrefixDigest) {
@@ -140,8 +151,8 @@ func diffDigests(t *testing.T, step string, got, want []PrefixDigest) {
 // TestMerkleIncrementalMatchesRecompute is the digest-equivalence
 // property test: after any randomized sequence of Put / PutMemo /
 // Drop / ImportFrames / ImportMemoFrames / Compact / reopen, the
-// incrementally-maintained bucket and leaf digests are byte-identical
-// to a from-scratch recomputation, for both tiers.
+// digests at every depth are byte-identical to a from-scratch
+// recomputation of the tree, for both tiers.
 func TestMerkleIncrementalMatchesRecompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	dir := t.TempDir()
@@ -160,17 +171,14 @@ func TestMerkleIncrementalMatchesRecompute(t *testing.T) {
 
 	check := func(step string) {
 		t.Helper()
-		got, want := s.Manifest(), refManifest(s)
-		for b := range want {
-			if got[b] != want[b] {
-				t.Fatalf("%s: bucket %d: %+v != %+v", step, b, got[b], want[b])
+		want := refTree(s)
+		for depth := 1; depth <= MerkleDepth; depth++ {
+			got, err := s.Digests("", depth, true, true)
+			if err != nil {
+				t.Fatal(err)
 			}
+			diffDigests(t, fmt.Sprintf("%s depth %d", step, depth), got, want[depth-1])
 		}
-		leaves, err := s.Digests("", MerkleDepth, true, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		diffDigests(t, step, leaves, refLeaves(s))
 	}
 
 	check("empty")
@@ -195,16 +203,13 @@ func TestMerkleIncrementalMatchesRecompute(t *testing.T) {
 			if fps := s.Fingerprints(); len(fps) > 0 {
 				s.Drop(fps[rng.Intn(len(fps))])
 			}
-		case op < 8: // Import a donor bucket (both tiers)
-			b := rng.Intn(ManifestBuckets)
-			seg, _, err := donor.ExportBucket(b)
-			if err != nil {
-				t.Fatal(err)
-			}
+		case op < 8: // Import a donor subtree (both tiers)
+			prefix := fmt.Sprintf("%x", rng.Intn(16))
+			seg, _ := exportPrefix(t, donor, prefix)
 			if _, err := s.ImportFrames(seg); err != nil {
 				t.Fatal(err)
 			}
-			mseg, _, err := donor.ExportMemoBucket(b)
+			mseg, _, err := donor.ExportMemoPrefix(prefix)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -241,7 +246,8 @@ func TestDigestsValidation(t *testing.T) {
 }
 
 // TestDigestsNarrowing pins the walk the syncer performs: a divergent
-// bucket narrows through depth 2 to exactly the leaves that differ.
+// top-level node narrows through depth 2 to exactly the leaves that
+// differ.
 func TestDigestsNarrowing(t *testing.T) {
 	a := openT(t, t.TempDir())
 	b := openT(t, t.TempDir())
@@ -327,8 +333,9 @@ func TestExportRecordsSubset(t *testing.T) {
 }
 
 // TestExportMemoPrefixMatchesBucket pins that concatenating a
-// bucket's leaf-level memo exports reproduces the bucket export byte
-// for byte — leaf pulls and bucket pulls import the same records.
+// top-level node's leaf-level memo exports reproduces the node's own
+// export byte for byte — leaf pulls and subtree pulls import the same
+// records.
 func TestExportMemoPrefixMatchesBucket(t *testing.T) {
 	s := openT(t, t.TempDir())
 	rng := rand.New(rand.NewSource(3))
@@ -338,13 +345,13 @@ func TestExportMemoPrefixMatchesBucket(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	bucketSeg, bn, err := s.ExportMemoBucket(5)
-	if err != nil || bn != 30 {
-		t.Fatalf("bucket export: n=%d err=%v", bn, err)
+	nodeSeg, nn, err := s.ExportMemoPrefix("5")
+	if err != nil || nn != 30 {
+		t.Fatalf("node export: n=%d err=%v", nn, err)
 	}
 	var joined []byte
 	ln := 0
-	for v := 0; v < leavesPerBucket; v++ {
+	for v := 0; v < MerkleLeaves/16; v++ {
 		prefix := fmt.Sprintf("5%0*x", MerkleDepth-1, v)
 		seg, n, err := s.ExportMemoPrefix(prefix)
 		if err != nil {
@@ -353,8 +360,8 @@ func TestExportMemoPrefixMatchesBucket(t *testing.T) {
 		joined = append(joined, seg...)
 		ln += n
 	}
-	if ln != bn || !bytes.Equal(joined, bucketSeg) {
-		t.Fatalf("leaf exports (%d recs) != bucket export (%d recs)", ln, bn)
+	if ln != nn || !bytes.Equal(joined, nodeSeg) {
+		t.Fatalf("leaf exports (%d recs) != node export (%d recs)", ln, nn)
 	}
 	if _, _, err := s.ExportMemoPrefix(""); err == nil {
 		t.Fatal("root memo export accepted")

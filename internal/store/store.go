@@ -85,8 +85,8 @@ type Store struct {
 	memoLive int64                  // framed bytes of the live memo index
 
 	// Merkle leaf state (merkle.go): each tier's keys partitioned by
-	// leaf prefix with dirty-flagged digest caches, maintained
-	// incrementally by every index mutation.
+	// leaf prefix with cached leaf digests, maintained incrementally
+	// by every index mutation.
 	vleaf *leafSet // verdict tier (fingerprints)
 	mleaf *leafSet // memo tier (class keys)
 }
@@ -103,7 +103,9 @@ func Open(dir string, opt Options) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, opt: opt, f: f, index: make(map[string]*Record), vleaf: &leafSet{}, mleaf: &leafSet{}}
+	s := &Store{dir: dir, opt: opt, f: f, index: make(map[string]*Record)}
+	s.vleaf = &leafSet{write: func(h io.Writer, fp string) { io.WriteString(h, fp) }}
+	s.mleaf = &leafSet{write: func(h io.Writer, key string) { writeMemoRecordDigest(h, s.memo[key]) }}
 	valid, dropped, err := scanSegment(bufio.NewReader(f), func(r *Record) error {
 		s.index[r.Fingerprint] = r
 		s.vleaf.add(r.Fingerprint)
