@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench serve fuzz fuzz-short ci bench-json bench-load bench-load-smoke bench-solver bench-solver-smoke bench-corpus bench-corpus-smoke bench-queue bench-queue-smoke bench-cluster bench-cluster-smoke bench-memostore bench-memostore-smoke perfbench-test
+.PHONY: build test race vet bench serve fuzz fuzz-short ci bench-json bench-load bench-load-smoke bench-solver bench-solver-smoke bench-corpus bench-corpus-smoke bench-queue bench-queue-smoke bench-cluster bench-cluster-smoke bench-memostore bench-memostore-smoke perfbench-test perfbench-smoke
 
 build:
 	$(GO) build ./...
@@ -51,18 +51,27 @@ fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzQueueDecode -fuzztime 20s ./internal/queue/
 
 # The CI gate: vet, the full suite under the race detector, the short
-# fuzz pass, the serving benchmark's own vet and tests, then the
-# load-, solver-, corpus-, queue-, cluster- and memo-store-suite
-# smokes (results to throwaway dirs so the committed bench/ numbers
-# stay the curated ones). Delta replication's wire-cost floor runs in
-# the cluster package's tests (TestSyncNearlyConvergedWireCost).
-ci: test fuzz-short perfbench-test bench-load-smoke bench-solver-smoke bench-corpus-smoke bench-queue-smoke bench-cluster-smoke bench-memostore-smoke
+# fuzz pass, the serving benchmark's own vet and tests and its smoke
+# runs, then the load-, solver-, corpus-, queue-, cluster- and
+# memo-store-suite smokes (results to throwaway dirs so the committed
+# bench/ numbers stay the curated ones). Delta replication's wire-cost
+# floor runs in the cluster package's tests
+# (TestSyncNearlyConvergedWireCost).
+ci: test fuzz-short perfbench-test perfbench-smoke bench-load-smoke bench-solver-smoke bench-corpus-smoke bench-queue-smoke bench-cluster-smoke bench-memostore-smoke
 
 # The serving benchmark (perfbench/) is its own module, so the root
 # go test ./... never builds it: vet and test it here, so an internal
 # API change cannot break the benchmark unnoticed.
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# Two-second runs of the serving benchmark's hit-path workloads. Every
+# answer goes through its oracle, which compares each timed answer
+# byte for byte with one checked against the real handler, so a hit
+# path that serves a stale or wrong body fails CI (the run exits 1).
+perfbench-smoke:
+	bash perfbench/run.sh --workload hot_mix --seed 1 --seconds 2 --trace 0
+	bash perfbench/run.sh --workload store_spill --seed 1 --seconds 2 --trace 0
 
 # Machine-readable micro-benchmarks (ns/op, allocs/op) for tracking
 # the perf trajectory across PRs; writes bench/BENCH_<suite>.json.

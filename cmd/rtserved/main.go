@@ -41,9 +41,12 @@
 // reordering — share one cache entry, so repeated POSTs of isomorphic
 // specifications cost a fingerprint and a lookup instead of an
 // NP-hard search. Byte-identical repeat workloads go further: the
-// service's verified-hit memo skips the schedule remap and re-check,
-// and the daemon serves the memoized JSON response bytes directly
-// (only the elapsedMicros field is freshly stamped).
+// daemon keys a front cache (-resp-cache bodies) by SHA-256 of the
+// request body and, while the cache entry the earlier answer came from
+// is still resident, serves the stored JSON response bytes without
+// parsing the spec (only the elapsedMicros field is freshly stamped).
+// Requests with a query string, and requests a cluster node would
+// forward, always take the full path.
 //
 // Cold workloads compete for a bounded number of exact-search
 // admission slots (-search-concurrency, default GOMAXPROCS). A
@@ -122,7 +125,7 @@ func main() {
 	queueDir := flag.String("queue-dir", "", "durable async solve queue directory (empty = sheds stay 429)")
 	queueWorkers := flag.Int("queue-workers", 2, "async solve queue worker pool size")
 	maxBody := flag.Int64("max-body", 1<<20, "maximum /schedule request body in bytes (413 beyond)")
-	respCacheSize := flag.Int("resp-cache", 1024, "serialized response body cache capacity (0 disables)")
+	respCacheSize := flag.Int("resp-cache", 1024, "front cache capacity: response bodies kept for byte-identical repeat requests, served before parsing (0 disables)")
 	pprofPort := flag.Int("pprof", 0, "serve net/http/pprof on 127.0.0.1:PORT (0 disables)")
 	nodeID := flag.String("node-id", "", "this node's cluster member ID (required with -peers)")
 	peersFlag := flag.String("peers", "", "cluster peers as id=http://host:port, comma separated")

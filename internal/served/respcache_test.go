@@ -2,6 +2,7 @@ package served
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,29 +16,51 @@ import (
 	"rtm/internal/service"
 )
 
-// TestRespCacheBounded: the response body cache is LRU-bounded and
-// returns exactly what was stored.
+// TestRespCacheBounded: the front cache is LRU-bounded and returns
+// exactly what was stored; remove deletes only the entry it names.
 func TestRespCacheBounded(t *testing.T) {
-	c := newRespCache(2)
-	c.put("a", []byte("A"))
-	c.put("b", []byte("B"))
-	if got := c.get("a"); string(got) != "A" {
+	item := func(body, prefix string) *frontItem {
+		return &frontItem{key: sha256.Sum256([]byte(body)), prefix: []byte(prefix)}
+	}
+	get := func(c *frontCache, body string) []byte {
+		if it := c.get(sha256.Sum256([]byte(body))); it != nil {
+			return it.prefix
+		}
+		return nil
+	}
+	c := newFrontCache(2)
+	c.put(item("a", "A"))
+	c.put(item("b", "B"))
+	if got := get(c, "a"); string(got) != "A" {
 		t.Fatalf("get(a) = %q", got)
 	}
-	c.put("c", []byte("C")) // evicts b (a was just touched)
+	c.put(item("c", "C")) // evicts b (a was just touched)
 	if c.len() != 2 {
 		t.Fatalf("len = %d, want 2", c.len())
 	}
-	if c.get("b") != nil {
+	if get(c, "b") != nil {
 		t.Fatal("LRU victim survived")
 	}
-	if c.get("a") == nil || c.get("c") == nil {
+	if get(c, "a") == nil || get(c, "c") == nil {
 		t.Fatal("resident bodies missing")
 	}
+
+	// remove of a replaced entry leaves the replacement in place
+	old := c.get(sha256.Sum256([]byte("a")))
+	c.put(item("a", "A2"))
+	c.remove(old)
+	if got := get(c, "a"); string(got) != "A2" {
+		t.Fatalf("remove of a replaced entry dropped its replacement: %q", got)
+	}
+	c.remove(c.get(sha256.Sum256([]byte("a"))))
+	if get(c, "a") != nil || c.len() != 1 {
+		t.Fatal("removed entry survived")
+	}
+
 	// capacity 0 disables caching entirely
-	off := newRespCache(0)
-	off.put("k", []byte("V"))
-	if off.get("k") != nil || off.len() != 0 {
+	off := newFrontCache(0)
+	off.put(item("k", "V"))
+	if get(off, "k") != nil || off.len() != 0 || off.enabled() {
 		t.Fatal("disabled cache stored a body")
 	}
 }
@@ -83,10 +106,10 @@ func TestScheduleStatus(t *testing.T) {
 	}
 }
 
-// TestServedResponseBodyCache: byte-identical repeat POSTs are served
-// the cached body — identical except for the stamped elapsedMicros —
-// while a renamed isomorphic spec gets its own body under its own
-// names.
+// TestServedResponseBodyCache: a byte-identical repeat POST is served
+// the front-cached body — identical except for the stamped
+// elapsedMicros — while a renamed isomorphic spec gets its own body
+// under its own names.
 func TestServedResponseBodyCache(t *testing.T) {
 	svc := service.New(service.Options{})
 	d := newDaemon(svc, 10*time.Second, 1<<20, 1024)
@@ -118,7 +141,7 @@ func TestServedResponseBodyCache(t *testing.T) {
 	if cold.CacheHit || cold.OrderDigest == "" {
 		t.Fatalf("cold response: %+v", cold)
 	}
-	if d.resp.len() != 0 {
+	if d.front.len() != 0 {
 		t.Fatal("cold (miss) response was cached")
 	}
 
@@ -126,13 +149,16 @@ func TestServedResponseBodyCache(t *testing.T) {
 	if !warm1.CacheHit {
 		t.Fatalf("first warm response: %+v", warm1)
 	}
-	if d.resp.len() != 1 {
-		t.Fatalf("response cache holds %d bodies after first hit, want 1", d.resp.len())
+	if d.front.len() != 1 {
+		t.Fatalf("front cache holds %d bodies after first hit, want 1", d.front.len())
 	}
 
 	warm2Body, warm2 := post(exampleSpec)
 	if !warm2.CacheHit || warm2.OrderDigest != warm1.OrderDigest {
 		t.Fatalf("second warm response: %+v", warm2)
+	}
+	if got := svc.Metrics().FrontHits.Load(); got != 1 {
+		t.Fatalf("front_hits = %d, want 1 (the second warm repeat)", got)
 	}
 	// the bodies must be byte-identical once the elapsed stamp is
 	// normalized out

@@ -5,8 +5,10 @@
 //
 // A Daemon wraps one service.Service (pipeline + cache + optional
 // store and queue) with the HTTP surface: POST /schedule, GET
-// /job/<id>, /metrics, /healthz, a serialized-response-body cache for
-// verified hits, and — when a Cluster config is attached — the
+// /job/<id>, /metrics, /healthz, a front cache that answers
+// byte-identical repeats of verified hits before the spec is parsed
+// (while the LRU entry they came from stays resident; see
+// respcache.go), and — when a Cluster config is attached — the
 // fingerprint-sharded peer protocol: non-owner nodes proxy /schedule
 // and /job requests to the shard owner (one hop max, with graceful
 // fallback to a local solve when the owner is unreachable), and the
@@ -17,6 +19,7 @@ package served
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"io"
@@ -56,8 +59,9 @@ type Config struct {
 	Timeout time.Duration
 	// MaxBody bounds the /schedule request body in bytes.
 	MaxBody int64
-	// RespCache is the serialized response body cache capacity
-	// (0 disables).
+	// RespCache is the front cache capacity: how many response
+	// bodies of verified hits are kept for byte-identical repeat
+	// requests (0 disables).
 	RespCache int
 	// Cluster, when non-nil, enables fingerprint-sharded peer
 	// forwarding and Merkle replication.
@@ -69,7 +73,7 @@ type Daemon struct {
 	svc     *service.Service
 	timeout time.Duration
 	maxBody int64
-	resp    *respCache
+	front   *frontCache
 	cl      *Cluster
 }
 
@@ -79,7 +83,7 @@ func New(cfg Config) *Daemon {
 		svc:     cfg.Service,
 		timeout: cfg.Timeout,
 		maxBody: cfg.MaxBody,
-		resp:    newRespCache(cfg.RespCache),
+		front:   newFrontCache(cfg.RespCache),
 		cl:      cfg.Cluster,
 	}
 }
@@ -119,9 +123,9 @@ func (d *Daemon) mux() *http.ServeMux {
 }
 
 // scheduleResponse is the JSON verdict for one request. ElapsedUS
-// must stay the final field: the response body cache stores the
-// serialized bytes up to the elapsedMicros value and stamps each
-// request's own elapsed time into the tail.
+// must stay the final field: the front cache stores the serialized
+// bytes up to the elapsedMicros value and stamps each request's own
+// elapsed time into the tail.
 type scheduleResponse struct {
 	System      string           `json:"system,omitempty"`
 	Fingerprint string           `json:"fingerprint"`
@@ -268,6 +272,29 @@ func (d *Daemon) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+
+	// front cache: a byte-identical repeat of a verified hit is served
+	// its stored body while the LRU entry it came from is resident, and
+	// only where the full path would serve it locally. A request with
+	// a query string (?async=1) always takes the full path, so the key
+	// is the body alone.
+	start := time.Now()
+	var key [sha256.Size]byte
+	front := d.front.enabled() && r.URL.RawQuery == ""
+	if front {
+		key = sha256.Sum256(body)
+		if it := d.front.get(key); it != nil {
+			if d.owner(r, it.fp) == nil {
+				if elapsed, ok := d.svc.Rehit(it.fp, it.gen, start); ok {
+					w.Header().Set("Content-Type", "application/json")
+					w.Write(appendElapsed(it.prefix, elapsed.Microseconds()))
+					return
+				}
+			}
+			d.front.remove(it)
+		}
+	}
+
 	sp, err := spec.Parse(string(body))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -324,18 +351,6 @@ func (d *Daemon) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// verified-hit fast path, response layer: a repeat of an already
-	// served surface reuses the serialized body, stamping only the
-	// fresh elapsed time
-	key := respKey(sp.Name, res.Fingerprint, res.OrderDigest)
-	if res.CacheHit {
-		if pre := d.resp.get(key); pre != nil {
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(appendElapsed(pre, res.Elapsed.Microseconds()))
-			return
-		}
-	}
-
 	resp := scheduleResponse{
 		System:      sp.Name,
 		Fingerprint: res.Fingerprint,
@@ -363,11 +378,10 @@ func (d *Daemon) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	prefix := b[: len(b)-2 : len(b)-2] // strip the `0}` placeholder tail
-	if res.CacheHit {
-		// only LRU-hit bodies are cached: their content is stable for
-		// the (fingerprint, digest, system) identity by the verified-hit
-		// memo's guarantee
-		d.resp.put(key, prefix)
+	if front && res.CacheHit {
+		// only verified LRU hits are stored: while their entry stays
+		// resident the full path serves these bytes again
+		d.front.put(&frontItem{key: key, fp: res.Fingerprint, gen: res.Generation, prefix: prefix})
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(appendElapsed(prefix, res.Elapsed.Microseconds()))

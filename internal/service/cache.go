@@ -28,6 +28,7 @@ type entry struct {
 	feasible bool
 	slots    []int  // nil unless feasible
 	source   string // which pipeline stage produced the outcome
+	gen      uint64 // stamped by addToShard under the shard lock; unique per shard
 
 	memoCap int // ≤ 0 disables the verified-hit memo
 	memoMu  sync.Mutex
@@ -139,6 +140,7 @@ type cacheShard struct {
 	mu        sync.Mutex
 	lru       *lruCache
 	flight    map[string]*call
+	gen       uint64       // last generation stamped on an entry entering this shard's LRU
 	evictions atomic.Int64 // entries this shard displaced (summed into Metrics.Evictions too)
 }
 

@@ -14,7 +14,8 @@ import (
 type Metrics struct {
 	Requests     atomic.Int64 // Schedule calls accepted for processing
 	Invalid      atomic.Int64 // model validation failures
-	CacheHits    atomic.Int64 // requests served from the schedule cache
+	CacheHits    atomic.Int64 // requests served from the schedule cache (front hits included)
+	FrontHits    atomic.Int64 // cache hits answered by the daemon's front cache (Rehit)
 	MemoHits     atomic.Int64 // hits served by the verified-hit fast path (no remap/re-check)
 	CacheMisses  atomic.Int64 // requests that had to enter the flight path (= pipelines run)
 	FlightShared atomic.Int64 // requests that piggybacked on an in-flight search
@@ -51,7 +52,7 @@ type Metrics struct {
 	SyncPeerFailures atomic.Int64 // per-peer sync attempts that ended in failure
 	SyncLastUnix     atomic.Int64 // unix time of the most recent completed round (gauge, not a counter)
 
-	hitNanos       atomic.Int64 // cumulative latency of cache-hit requests
+	hitNanos       atomic.Int64 // cumulative latency of cache- and store-hit requests
 	missNanos      atomic.Int64 // cumulative latency of fresh (pipeline-leading) requests
 	searchNanos    atomic.Int64 // cumulative wall time inside the exact-search stage
 	exactNodes     atomic.Int64 // cumulative search-tree nodes explored by the exact stage
@@ -60,14 +61,16 @@ type Metrics struct {
 
 // Snapshot returns every counter by name, including the derived
 // average latencies (in nanoseconds) of the hit, miss, and
-// exact-search paths. search_ns_avg divides by executed exact
-// searches only — analysis- and heuristic-decided pipelines never
-// dilute it.
+// exact-search paths. hit_ns_avg divides by every request that added
+// to hit_ns_total: cache hits (front hits included) and store hits.
+// search_ns_avg divides by executed exact searches only — analysis-
+// and heuristic-decided pipelines never dilute it.
 func (mt *Metrics) Snapshot() map[string]int64 {
 	s := map[string]int64{
 		"requests":            mt.Requests.Load(),
 		"invalid":             mt.Invalid.Load(),
 		"cache_hits":          mt.CacheHits.Load(),
+		"front_hits":          mt.FrontHits.Load(),
 		"memo_hits":           mt.MemoHits.Load(),
 		"cache_misses":        mt.CacheMisses.Load(),
 		"flight_shared":       mt.FlightShared.Load(),
@@ -109,7 +112,7 @@ func (mt *Metrics) Snapshot() map[string]int64 {
 		"sync_peer_failures": mt.SyncPeerFailures.Load(),
 		"sync_last_unix":     mt.SyncLastUnix.Load(),
 	}
-	if h := s["cache_hits"]; h > 0 {
+	if h := s["cache_hits"] + s["store_hits"]; h > 0 {
 		s["hit_ns_avg"] = s["hit_ns_total"] / h
 	}
 	if n := s["cache_misses"]; n > 0 {

@@ -26,6 +26,10 @@
 //     workload skips the remap + re-verify entirely and is served the
 //     already-verified schedule — the verified-hit fast path. Only
 //     results that passed verification ever enter the memo.
+//   - Every entry entering the LRU is stamped with a per-shard
+//     generation, which a cache hit returns (Result.Generation).
+//     Rehit lets a caller that kept an earlier hit's answer — rtserved's
+//     front cache — serve it again while that same entry is resident.
 //   - The exact-search stage sits behind a bounded admission
 //     semaphore (default GOMAXPROCS slots) with a queue-wait budget:
 //     a burst of cold searches queues briefly and then fails fast
@@ -143,8 +147,8 @@ type Result struct {
 	// fingerprint's isomorphism class: a digest of the canonical
 	// element order plus the constraint names/parameters/task shapes
 	// as the requester spelled them. Byte-identical repeat workloads
-	// share a digest; the verified-hit memo and rtserved's response
-	// cache are keyed by (Fingerprint, OrderDigest).
+	// share a digest; the verified-hit memo is keyed by (Fingerprint,
+	// OrderDigest).
 	OrderDigest string
 	// Decided reports whether the verdict is definitive. False means
 	// the search budget ran out before feasibility was decided.
@@ -167,6 +171,10 @@ type Result struct {
 	// LRU (Source "cache"). Durable-store hits leave it false — use
 	// Source to distinguish tiers.
 	CacheHit bool
+	// Generation identifies the LRU entry a cache hit was served from
+	// (0 unless CacheHit): Rehit(Fingerprint, Generation) succeeds
+	// only while that same entry stays resident.
+	Generation uint64
 	// Shared is true when this request piggybacked on another
 	// request's in-flight search.
 	Shared bool
@@ -345,6 +353,7 @@ func (s *Service) schedule(ctx context.Context, m *core.Model, gated bool) (*Res
 	for {
 		sh.mu.Lock()
 		if e := sh.lru.get(key); e != nil {
+			gen := e.gen
 			sh.mu.Unlock()
 			res, ok := s.materialize(m, can, digest, e, start)
 			if ok {
@@ -352,6 +361,7 @@ func (s *Service) schedule(ctx context.Context, m *core.Model, gated bool) (*Res
 				s.metrics.hitNanos.Add(int64(res.Elapsed))
 				res.CacheHit = true
 				res.Source = "cache"
+				res.Generation = gen
 				return res, nil
 			}
 			// re-verification failed: never serve it, drop the entry
@@ -450,12 +460,45 @@ func (s *Service) schedule(ctx context.Context, m *core.Model, gated bool) (*Res
 }
 
 // addToShard inserts an entry into a shard's LRU (caller holds the
-// shard lock) and accounts evictions both per shard and globally.
+// shard lock), stamps it with the shard's next generation and accounts
+// evictions both per shard and globally.
 func (s *Service) addToShard(sh *cacheShard, e *entry) {
+	sh.gen++
+	e.gen = sh.gen
 	if ev := sh.lru.add(e); ev > 0 {
 		sh.evictions.Add(int64(ev))
 		s.metrics.Evictions.Add(int64(ev))
 	}
+}
+
+// Rehit serves a cache hit whose answer the caller already holds: the
+// daemon's front cache keeps the response body of an earlier hit
+// together with that Result's Fingerprint and Generation. Rehit
+// reports true only while the same LRU entry is still resident. It
+// then does what a full hit does to the cache — refreshes the entry's
+// recency — and counts the request as a front hit and a cache hit,
+// and also as a verified-memo hit for a feasible class, since no remap
+// or sched.Check ran. The time since start counts as hit latency and
+// is returned. On false nothing is counted, and the caller must take
+// the full path.
+func (s *Service) Rehit(fp string, gen uint64, start time.Time) (time.Duration, bool) {
+	sh := s.cache.shard(fp)
+	sh.mu.Lock()
+	e := sh.lru.get(fp)
+	ok := e != nil && e.gen == gen
+	sh.mu.Unlock()
+	if !ok {
+		return 0, false
+	}
+	s.metrics.Requests.Add(1)
+	s.metrics.FrontHits.Add(1)
+	s.metrics.CacheHits.Add(1)
+	if e.feasible {
+		s.metrics.MemoHits.Add(1)
+	}
+	elapsed := time.Since(start)
+	s.metrics.hitNanos.Add(int64(elapsed))
+	return elapsed, true
 }
 
 // acquireSearch takes an exact-search admission slot, waiting at most
