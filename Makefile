@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench serve fuzz fuzz-short ci bench-json bench-load bench-load-smoke bench-solver bench-solver-smoke bench-corpus bench-corpus-smoke bench-queue bench-queue-smoke bench-cluster bench-cluster-smoke bench-memostore bench-memostore-smoke perfbench-test perfbench-smoke
+.PHONY: build test race vet bench serve fuzz fuzz-short ci perfbench-test perfbench-smoke
 
 build:
 	$(GO) build ./...
@@ -51,13 +51,8 @@ fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzQueueDecode -fuzztime 20s ./internal/queue/
 
 # The CI gate: vet, the full suite under the race detector, the short
-# fuzz pass, the serving benchmark's own vet and tests and its smoke
-# runs, then the load-, solver-, corpus-, queue-, cluster- and
-# memo-store-suite smokes (results to throwaway dirs so the committed
-# bench/ numbers stay the curated ones). Delta replication's wire-cost
-# floor runs in the cluster package's tests
-# (TestSyncNearlyConvergedWireCost).
-ci: test fuzz-short perfbench-test perfbench-smoke bench-load-smoke bench-solver-smoke bench-corpus-smoke bench-queue-smoke bench-cluster-smoke bench-memostore-smoke
+# fuzz pass, and the serving benchmark's own vet, tests and smoke runs.
+ci: test fuzz-short perfbench-test perfbench-smoke
 
 # The serving benchmark (perfbench/) is its own module, so the root
 # go test ./... never builds it: vet and test it here, so an internal
@@ -72,87 +67,3 @@ perfbench-test:
 perfbench-smoke:
 	bash perfbench/run.sh --workload hot_mix --seed 1 --seconds 2 --trace 0
 	bash perfbench/run.sh --workload store_spill --seed 1 --seconds 2 --trace 0
-
-# Machine-readable micro-benchmarks (ns/op, allocs/op) for tracking
-# the perf trajectory across PRs; writes bench/BENCH_<suite>.json.
-bench-json:
-	$(GO) run ./cmd/rtbench -json bench
-
-# Service load suite: closed-loop hot paths (verified-hit fast path vs
-# remap + re-check) and an open-loop cold burst against the bounded
-# exact-search admission; writes bench/BENCH_service_load.json with
-# p50/p95/p99 latency and throughput per scenario.
-bench-load:
-	$(GO) run ./cmd/rtbench -load bench
-
-# Same suite into a throwaway directory — the CI smoke that proves the
-# load harness runs end to end without touching committed results.
-bench-load-smoke:
-	$(GO) run ./cmd/rtbench -load $$(mktemp -d)
-
-# Exact-search pruner suite: refutation-heavy E2/E3/E4 rows, pruners
-# off vs on, plus a 4-worker shared-table row; writes
-# bench/BENCH_exact_prune.json.
-bench-solver:
-	$(GO) run ./cmd/rtbench -solver bench
-
-# Solver suite into a throwaway directory — verifies verdict parity
-# between pruner configurations end to end without touching bench/.
-bench-solver-smoke:
-	$(GO) run ./cmd/rtbench -solver $$(mktemp -d)
-
-# Random-DAG corpus suite: 2000 distinct isomorphism classes through
-# the admission pipeline with the analytic tier off vs on — per-tier
-# decision fractions, exact-search work saved, and a verdict-parity
-# cross-check; writes bench/BENCH_corpus.json.
-bench-corpus:
-	$(GO) run ./cmd/rtbench -corpus bench -corpus-n 2000
-
-# Corpus suite into a throwaway directory at smoke size — the CI gate
-# that runs the generator, both pipeline configurations, and the
-# parity cross-check end to end.
-bench-corpus-smoke:
-	$(GO) run ./cmd/rtbench -corpus $$(mktemp -d) -corpus-n 200
-
-# Async-queue suite: the cold burst replayed with the durable solve
-# queue attached — sheds become journaled jobs drained by background
-# workers, with a synchronous verdict-parity oracle; writes
-# bench/BENCH_queue.json with the shed→terminal conversion rate,
-# enqueue latency, and end-to-end job latency.
-bench-queue:
-	$(GO) run ./cmd/rtbench -queue bench
-
-# Queue suite into a throwaway directory — the CI smoke that drives
-# submit → journal → worker drain → terminal verdict end to end
-# (including the parity oracle) without touching committed results.
-bench-queue-smoke:
-	$(GO) run ./cmd/rtbench -queue $$(mktemp -d)
-
-# Cluster suite: a 3-node fingerprint-sharded fleet in-process — seed
-# every class on its shard owner, one anti-entropy sync round, warm
-# serves from every non-owner (zero new exact searches), then a
-# kill-one-owner burst (zero failed requests); writes
-# bench/BENCH_cluster.json. Acceptance violations fail the run.
-bench-cluster:
-	$(GO) run ./cmd/rtbench -cluster bench
-
-# Cluster suite into a throwaway directory — the CI smoke that drives
-# sharded routing, Merkle replication, and owner-failure fallback end
-# to end without touching committed results.
-bench-cluster-smoke:
-	$(GO) run ./cmd/rtbench -cluster $$(mktemp -d)
-
-# Memo store suite: hard-NO 3-PARTITION classes solved cold with a
-# store attached, the service restarted, and perturbed near-miss
-# variants replayed warm from the persisted transposition table —
-# warm-vs-cold node ratios with tiered verdict-parity oracles; writes
-# bench/BENCH_memo_store.json. A ratio below 2x or any verdict
-# mismatch fails the run.
-bench-memostore:
-	$(GO) run ./cmd/rtbench -memostore bench
-
-# The two small families into a throwaway directory — the CI smoke
-# that drives cold solve → restart → warm seeded replay → oracle
-# parity end to end without touching committed results.
-bench-memostore-smoke:
-	$(GO) run ./cmd/rtbench -memostore $$(mktemp -d) -memostore-n 2

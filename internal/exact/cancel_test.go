@@ -3,7 +3,6 @@ package exact
 import (
 	"context"
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -14,18 +13,7 @@ import (
 // ({2,3,6} deadlines, Σw/d = 1) by w: infeasible, so the search must
 // exhaust a space that grows exponentially with w — long enough that
 // a short deadline reliably interrupts it mid-run.
-func cancelHardInstance(w int) *core.Model {
-	m := core.NewModel()
-	for i, d := range []int{2 * w, 3 * w, 6 * w} {
-		name := fmt.Sprintf("u%d", i)
-		m.Comm.AddElement(name, w)
-		m.AddConstraint(&core.Constraint{
-			Name: "c" + name, Task: core.ChainTask(name),
-			Period: d, Deadline: d, Kind: core.Asynchronous,
-		})
-	}
-	return m
-}
+func cancelHardInstance(w int) *core.Model { return density1Model(w, []int{2, 3, 6}) }
 
 // TestFindScheduleCtxPreCanceled: a context that is already done
 // aborts before any length is tried, sequentially and in parallel.

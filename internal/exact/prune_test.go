@@ -12,14 +12,18 @@ import (
 
 // e2TightModel builds the unit-density async deadline-set instances of
 // experiment E2: one unit-weight element per deadline, Σ 1/d = 1.
-func e2TightModel(ds []int) *core.Model {
+func e2TightModel(ds []int) *core.Model { return density1Model(1, ds) }
+
+// density1Model scales the E2 family by weight w: one weight-w element
+// per deadline d, with period and deadline d·w, so Σ w/(d·w) = 1.
+func density1Model(w int, ds []int) *core.Model {
 	m := core.NewModel()
 	for i, d := range ds {
 		name := fmt.Sprintf("u%d", i)
-		m.Comm.AddElement(name, 1)
+		m.Comm.AddElement(name, w)
 		m.AddConstraint(&core.Constraint{
 			Name: "c" + name, Task: core.ChainTask(name),
-			Period: d, Deadline: d, Kind: core.Asynchronous,
+			Period: d * w, Deadline: d * w, Kind: core.Asynchronous,
 		})
 	}
 	return m
@@ -36,6 +40,17 @@ func e3Model(t *testing.T, sizes []int, b int) (*core.Model, Options) {
 	}
 	n := tp.M() * (b + 1)
 	return m, Options{MinLen: n, MaxLen: n, RequireContiguous: true, MaxCandidates: 5_000_000}
+}
+
+// e4Model encodes the experiment E4 CYCLIC ORDERING core for n items
+// with its options (one cycle of n+1 slots, contiguous).
+func e4Model(t *testing.T, n int) (*core.Model, Options) {
+	t.Helper()
+	m, err := nphard.EncodeCyclicCore(n, 1)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	return m, Options{MinLen: n + 1, MaxLen: n + 1, RequireContiguous: true}
 }
 
 // TestPrunedMatchesReferenceVerdicts is the pruners-ON half of the
@@ -69,10 +84,11 @@ func TestPrunedMatchesReferenceVerdicts(t *testing.T) {
 
 // TestPrunerNodeReduction pins the acceptance criterion: ≥ 5x fewer
 // nodes on the refutation-heavy E2 tight rows and the E3 NO row, with
-// verdicts unchanged. The E2 infeasible rows are refuted at the root
-// by the exact-cover certificate (zero nodes); the E3 NO row is cut
-// down by the orbit of its five size-5 items plus the anchored
-// in-window bound.
+// verdicts unchanged; the feasible E2, E3 and E4 rows must return the
+// reference's verdict and witness. The E2 infeasible rows are refuted
+// at the root by the exact-cover certificate (zero nodes); the E3 NO
+// row is cut down by the orbit of its five size-5 items plus the
+// anchored in-window bound.
 func TestPrunerNodeReduction(t *testing.T) {
 	check := func(name string, m *core.Model, opt Options, wantFeasible bool) {
 		t.Helper()
@@ -105,6 +121,11 @@ func TestPrunerNodeReduction(t *testing.T) {
 	check("e3-NO", m, opt, false)
 	m, opt = e3Model(t, []int{6, 5, 5, 6, 5, 5}, 16)
 	check("e3-YES", m, opt, true)
+
+	for _, n := range []int{6, 7} {
+		m, opt := e4Model(t, n)
+		check(fmt.Sprintf("e4-n%d", n), m, opt, true)
+	}
 }
 
 // TestPrunerStatsDeterministic pins the Workers ≤ 1 determinism of the

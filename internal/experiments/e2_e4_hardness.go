@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"time"
 
 	"rtm/internal/core"
@@ -21,10 +22,13 @@ var exactWorkers = 1
 // SetExactWorkers sets the exact-search worker count used by E2–E4
 // (see exact.Options.Workers). The found/infeasible verdicts and the
 // schedules are identical for any value; only the effort statistics
-// and the wall-clock change. Non-positive values fall back to 1
-// (exact.Options rejects negative Workers).
+// and the wall-clock change. A negative value means all CPUs
+// (GOMAXPROCS); zero falls back to 1.
 func SetExactWorkers(w int) {
-	if w < 1 {
+	switch {
+	case w < 0:
+		w = runtime.GOMAXPROCS(0)
+	case w == 0:
 		w = 1
 	}
 	exactWorkers = w

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -197,6 +198,23 @@ func TestAllRuns(t *testing.T) {
 			t.Fatalf("duplicate id %s", tbl.ID)
 		}
 		ids[tbl.ID] = true
+	}
+}
+
+// TestSetExactWorkers pins the -workers flag's contract: -1 means all
+// CPUs, zero falls back to one worker, positive values pass through.
+func TestSetExactWorkers(t *testing.T) {
+	defer SetExactWorkers(1)
+	for _, tc := range []struct{ in, want int }{
+		{-1, runtime.GOMAXPROCS(0)},
+		{0, 1},
+		{1, 1},
+		{3, 3},
+	} {
+		SetExactWorkers(tc.in)
+		if exactWorkers != tc.want {
+			t.Fatalf("SetExactWorkers(%d): workers = %d, want %d", tc.in, exactWorkers, tc.want)
+		}
 	}
 }
 

@@ -2,11 +2,14 @@ package served
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -165,73 +168,164 @@ func TestClusterForwardingRules(t *testing.T) {
 	}
 }
 
-// TestClusterOwnerDownFallback pins graceful degradation: when the
-// shard owner dies, a non-owner answers the request itself with a
-// local solve and write-through — no failed requests.
+// burstClass is one class of the cold-burst workload, with its spec
+// rendering and fingerprint.
+type burstClass struct {
+	m        *core.Model
+	text, fp string
+}
+
+// fastBurstClasses renders the twelve cold-burst classes that exact
+// search decides in milliseconds: density-1 deadline sets at weights 2
+// and 3. The burst's four other classes (w=3 over {2,4,6,12},
+// {2,3,9,18}, {3,4,4,6} and {2,5,5,10}) take seconds each, because the
+// candidate budget does not bound the nodes explored between
+// candidates, so they are left out.
+func fastBurstClasses() []burstClass {
+	sets := [][]int{
+		{2, 3, 6}, {2, 4, 4}, {3, 3, 3}, {4, 4, 4, 4},
+		{2, 4, 6, 12}, {2, 3, 9, 18}, {3, 4, 4, 6}, {2, 5, 5, 10},
+	}
+	var out []burstClass
+	add := func(w int, ds []int) {
+		m := soakInstance(w, ds)
+		out = append(out, burstClass{m, spec.Print(fmt.Sprintf("burst%d", len(out)), m), core.Fingerprint(m)})
+	}
+	for _, ds := range sets {
+		add(2, ds)
+	}
+	for _, ds := range sets[:4] {
+		add(3, ds)
+	}
+	return out
+}
+
+// TestClusterOwnerDownFallback pins graceful degradation: when a shard
+// owner dies, a burst of the classes it owned, posted to the survivors
+// with no routing hints, gets a decided 200 on every request. Each
+// survivor falls back to a local solve and writes the verdict through.
 func TestClusterOwnerDownFallback(t *testing.T) {
 	nodes := newFleet(t, 3, nil)
-	owner, fp := ownerOf(t, nodes, exampleSpec)
-	var survivor *testNode
+	classes := fastBurstClasses()
+	owned := map[*testNode][]burstClass{}
+	for _, c := range classes {
+		own, _ := ownerOf(t, nodes, c.text)
+		owned[own] = append(owned[own], c)
+	}
+	victim := nodes[0]
 	for _, n := range nodes {
-		if n.id != owner.id {
-			survivor = n
-			break
+		if len(owned[n]) > len(owned[victim]) {
+			victim = n
 		}
 	}
-	owner.srv.Close()
+	victim.srv.Close()
+	var survivors []*testNode
+	for _, n := range nodes {
+		if n != victim {
+			survivors = append(survivors, n)
+		}
+	}
 
-	resp, out := postSpec(t, survivor.srv.URL, exampleSpec)
-	if resp.StatusCode != http.StatusOK || !out.Decided || out.Fingerprint != fp {
-		t.Fatalf("fallback request failed: status=%d %+v", resp.StatusCode, out)
+	var wg sync.WaitGroup
+	errs := make(chan error, len(owned[victim]))
+	for i, c := range owned[victim] {
+		wg.Add(1)
+		go func(i int, c burstClass) {
+			defer wg.Done()
+			n := survivors[i%len(survivors)]
+			resp, err := http.Post(n.srv.URL+"/schedule", "text/plain", strings.NewReader(c.text))
+			if err != nil {
+				errs <- err
+				return
+			}
+			var out scheduleResponse
+			err = json.NewDecoder(resp.Body).Decode(&out)
+			resp.Body.Close()
+			switch {
+			case resp.StatusCode != http.StatusOK:
+				errs <- fmt.Errorf("class %s on %s: status %d", c.fp[:8], n.id, resp.StatusCode)
+			case err != nil || !out.Decided || out.Fingerprint != c.fp:
+				errs <- fmt.Errorf("class %s on %s: %+v, %v", c.fp[:8], n.id, out, err)
+			default:
+				// write-through happened locally: availability kept the verdict
+				if _, ok := n.st.Get(c.fp); !ok {
+					errs <- fmt.Errorf("%s store missing the fallback verdict for %s", n.id, c.fp[:8])
+				}
+			}
+		}(i, c)
 	}
-	if got := metricValue(t, survivor.srv.URL, "fallbacks"); got != 1 {
-		t.Fatalf("fallbacks = %d, want 1", got)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
-	// write-through happened locally: availability kept the verdict
-	if _, ok := survivor.st.Get(fp); !ok {
-		t.Fatal("survivor store missing the fallback verdict")
+	var fallbacks int64
+	for _, n := range survivors {
+		fallbacks += metricValue(t, n.srv.URL, "fallbacks")
+	}
+	if fallbacks == 0 {
+		t.Fatalf("no fallbacks after killing %s: the burst never tried the dead owner", victim.id)
 	}
 }
 
-// TestClusterWarmFleet is acceptance (a) at the daemon level: a
-// verdict decided on node A is served by B and C from their stores
-// after one sync round, with zero new exact searches fleet-wide.
+// TestClusterWarmFleet is acceptance (a) at the daemon level: every
+// class decided on its owner is served by both non-owners from their
+// stores after one sync round, with zero new exact searches fleet-wide.
 func TestClusterWarmFleet(t *testing.T) {
 	// analysis and heuristic off: every cold decide is an exact search,
 	// so "searches" counts exactly the NP-hard work done
 	nodes := newFleet(t, 3, func(st *store.Store) service.Options {
 		return service.Options{Store: st, DisableAnalysis: true, DisableHeuristic: true}
 	})
-	a, b, c := nodes[0], nodes[1], nodes[2]
+	classes := fastBurstClasses()
 
-	// decide on A, pinned local by the forward marker
-	resp, _ := postForwarded(t, a.srv.URL, exampleSpec)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("seed solve: status=%d", resp.StatusCode)
-	}
-	if got := metricValue(t, a.srv.URL, "searches"); got != 1 {
-		t.Fatalf("seed searches on A = %d, want 1", got)
-	}
-
-	// one anti-entropy round on B and C
-	for _, n := range []*testNode{b, c} {
-		sy := &cluster.Syncer{Store: n.st, Peers: []*cluster.Client{n.peers[a.id]}, Logf: t.Logf}
-		if rs := sy.SyncOnce(context.Background()); rs.Pulls == 0 || rs.Records == 0 {
-			t.Fatalf("%s pulled nothing from A (%d/%d)", n.id, rs.Pulls, rs.Records)
+	// seed each class on its owner, pinned local by the forward marker
+	owners := make([]*testNode, len(classes))
+	owned := map[*testNode]int64{}
+	for i, c := range classes {
+		owners[i], _ = ownerOf(t, nodes, c.text)
+		owned[owners[i]]++
+		if resp, body := postForwarded(t, owners[i].srv.URL, c.text); resp.StatusCode != http.StatusOK {
+			t.Fatalf("seed solve of %s on %s: status=%d %.200s", c.fp[:8], owners[i].id, resp.StatusCode, body)
 		}
 	}
-
-	// B and C now serve the class locally from their stores — the
-	// renamed isomorphic surface proves it is class-level warmth
-	for _, n := range []*testNode{b, c} {
-		resp, body := postForwarded(t, n.srv.URL, renamedSpec)
-		if resp.StatusCode != http.StatusOK || !strings.Contains(body, `"source":"store"`) {
-			t.Fatalf("%s warm serve: status=%d body=%.200s", n.id, resp.StatusCode, body)
-		}
-		if got := metricValue(t, n.srv.URL, "searches"); got != 0 {
-			t.Fatalf("%s ran %d searches serving a replicated class, want 0", n.id, got)
+	// each node searches exactly the classes it owns, once each
+	checkSearches := func(phase string) {
+		t.Helper()
+		for _, n := range nodes {
+			if got := metricValue(t, n.srv.URL, "searches"); got != owned[n] {
+				t.Fatalf("after %s, %s has run %d searches for the %d classes it owns", phase, n.id, got, owned[n])
+			}
 		}
 	}
+	checkSearches("seeding")
+
+	// one anti-entropy round per node against both peers
+	for _, n := range nodes {
+		var peers []*cluster.Client
+		for _, c := range n.peers {
+			peers = append(peers, c)
+		}
+		sy := &cluster.Syncer{Store: n.st, Peers: peers, Logf: t.Logf}
+		sy.SyncOnce(context.Background())
+	}
+
+	// both non-owners now serve every class locally; the renamed
+	// isomorphic surface proves it is class-level warmth
+	for i, c := range classes {
+		surf := spec.Print(fmt.Sprintf("iso%d", i), renameSurface(rand.New(rand.NewSource(int64(i))), c.m))
+		for _, n := range nodes {
+			if n == owners[i] {
+				continue
+			}
+			resp, body := postForwarded(t, n.srv.URL, surf)
+			if resp.StatusCode != http.StatusOK ||
+				!strings.Contains(body, `"source":"store"`) && !strings.Contains(body, `"source":"cache"`) {
+				t.Fatalf("%s warm serve of %s: status=%d body=%.200s", n.id, c.fp[:8], resp.StatusCode, body)
+			}
+		}
+	}
+	checkSearches("the warm serves")
 }
 
 // TestClusterCorruptSegmentSkippedAndHealed is acceptance (c) at the

@@ -1,7 +1,7 @@
 // Package served is the HTTP serving layer of the scheduling service
 // — the daemon behind cmd/rtserved, factored into a library so the
-// cluster bench (cmd/rtbench -cluster) and tests can run whole
-// in-process fleets of nodes without listeners or subprocesses.
+// serving benchmark (perfbench) can drive the handler in-process and
+// tests can run whole fleets of nodes without subprocesses.
 //
 // A Daemon wraps one service.Service (pipeline + cache + optional
 // store and queue) with the HTTP surface: POST /schedule, GET

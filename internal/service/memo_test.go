@@ -2,10 +2,14 @@ package service
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"testing"
 
 	"rtm/internal/core"
 	"rtm/internal/exact"
+	"rtm/internal/nphard"
+	"rtm/internal/store"
 )
 
 // TestServiceMemoSeedWarmRestart drives the durable refutation cache
@@ -141,4 +145,112 @@ func renameModelKeepStructure(m *core.Model, round int) *core.Model {
 		out.Comm.AddPath(elems[0], elems[1])
 	}
 	return out
+}
+
+// TestServiceMemoNearMissFloor pins the persistent refutation cache's
+// payoff on two hard 3-PARTITION NO families. Item sizes lie strictly
+// inside (B/4, B/2) and the 11 cannot complete a frame (it needs 13
+// from two sizes ≥ 7), so every refutation explores all the
+// near-feasible packings of the rest. A cold solve with a store
+// attached writes the class's transposition table; after a restart,
+// three near-miss variants (extra communication paths: a new
+// fingerprint, the same memo class) must each be seeded from the store
+// and refuted with at most half the nodes of a storeless cold solve.
+// The verdict store must never answer a near miss, and the refutation
+// must agree with a search that cannot use the seeds: pruners off on
+// the small family, the memo off on the larger one.
+func TestServiceMemoNearMissFloor(t *testing.T) {
+	for _, fam := range []struct {
+		name       string
+		sizes      []int
+		prunersOff bool // the oracle runs with every pruner off, not just the memo
+	}{
+		{"B24-m2", []int{7, 7, 7, 7, 7, 11, 8, 9, 9}, true},
+		{"B24-m4", []int{7, 7, 7, 7, 7, 7, 11, 11, 8, 8, 8, 8}, false},
+	} {
+		t.Run(fam.name, func(t *testing.T) {
+			ctx := context.Background()
+			encode := func(extraPaths int) *core.Model {
+				m, err := nphard.EncodeThreePartition(nphard.ThreePartition{Sizes: fam.sizes, B: 24})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := 0; j < extraPaths; j++ {
+					m.Comm.AddPath(nphard.ItemElem(j), nphard.ItemElem(j+1))
+				}
+				return m
+			}
+			n := len(fam.sizes) / 3 * 25
+			exopt := exact.Options{MinLen: n, MaxLen: n, RequireContiguous: true, MaxCandidates: 5_000_000}
+			newSvc := func(st *store.Store) *Service {
+				return New(Options{Store: st, DisableAnalysis: true, DisableHeuristic: true, Exact: exopt})
+			}
+			// refute serves m and returns the nodes its search explored
+			refute := func(svc *Service, m *core.Model, label string) int64 {
+				t.Helper()
+				before := svc.Snapshot()["exact_nodes_total"]
+				res, err := svc.Schedule(ctx, m)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if res.Feasible || !res.Decided || res.Source != "exact" {
+					t.Fatalf("%s: want an exact refutation, got %+v", label, res)
+				}
+				return svc.Snapshot()["exact_nodes_total"] - before
+			}
+
+			base := encode(0)
+			key, ok := exact.MemoKey(base, exopt)
+			if !ok {
+				t.Fatal("no memo key for the family")
+			}
+			dir := t.TempDir()
+			st1 := openStoreT(t, dir)
+			svc1 := newSvc(st1)
+			refute(svc1, base, "cold base")
+			if puts := svc1.Snapshot()["memo_snapshot_puts"]; puts != 1 {
+				t.Fatalf("memo_snapshot_puts = %d after the cold solve, want 1", puts)
+			}
+			if err := st1.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			warm := newSvc(openStoreT(t, dir)) // the restart
+			cold := newSvc(nil)
+			seen := map[string]bool{core.Fingerprint(base): true}
+			for i := 1; i <= 3; i++ {
+				v := encode(i)
+				fp := core.Fingerprint(v)
+				if seen[fp] {
+					t.Fatalf("variant %d: fingerprint unchanged", i)
+				}
+				seen[fp] = true
+				if k, ok := exact.MemoKey(v, exopt); !ok || k != key {
+					t.Fatalf("variant %d left the memo class", i)
+				}
+				preHits := warm.Snapshot()["memo_seed_hits"]
+				warmNodes := refute(warm, v, fmt.Sprintf("warm variant %d", i))
+				snap := warm.Snapshot()
+				if snap["memo_seed_hits"] != preHits+1 {
+					t.Fatalf("variant %d: the warm solve was not seeded", i)
+				}
+				if snap["store_hits"] != 0 {
+					t.Fatalf("variant %d: a near miss was served by the verdict store", i)
+				}
+				coldNodes := refute(cold, v, fmt.Sprintf("cold variant %d", i))
+				if warmNodes <= 0 || coldNodes < 2*warmNodes {
+					t.Fatalf("variant %d: warm %d nodes vs cold %d, want at most half", i, warmNodes, coldNodes)
+				}
+			}
+
+			oopt := exopt
+			oopt.DisableMemo = true
+			if fam.prunersOff {
+				oopt.DisableSymmetry, oopt.DisableBounds = true, true
+			}
+			if _, _, err := exact.FindScheduleCtx(ctx, base, oopt); !errors.Is(err, exact.ErrNotFound) {
+				t.Fatalf("oracle: %v, want a refutation", err)
+			}
+		})
+	}
 }
