@@ -89,7 +89,7 @@ func e3BenchModel(b *testing.B, sizes []int, bound int) (*core.Model, Options) {
 // directly in allocs/op.
 func BenchmarkMemoProbeStore(b *testing.B) {
 	sigs := e3Sigs(b)
-	mt := newMemoTable(0, 1)
+	mt := newMemoTable(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -105,7 +105,7 @@ func BenchmarkMemoProbeStore(b *testing.B) {
 // allocate.
 func BenchmarkMemoSeededProbe(b *testing.B) {
 	sigs := e3Sigs(b)
-	mt := newMemoTable(0, 1)
+	mt := newMemoTable(1)
 	mt.Seed(sigs)
 	sig := sigs[len(sigs)/2]
 	b.ReportAllocs()

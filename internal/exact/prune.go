@@ -36,10 +36,9 @@ import (
 // are cheaper to re-explore than to hash.
 const memoMinRemaining = 3
 
-// defaultMemoEntries bounds the transposition table when
-// Options.MemoEntries is zero. At typical signature sizes this is a
-// few tens of MB worst case.
-const defaultMemoEntries = 1 << 18
+// memoEntries bounds the transposition table. At typical signature
+// sizes this is a few tens of MB worst case.
+const memoEntries = 1 << 18
 
 // memoStripes is the stripe count of the shared (locked) table used
 // by the parallel search. The sequential search uses a single stripe.
@@ -67,17 +66,11 @@ type memoStripe struct {
 	m  map[string]struct{}
 }
 
-func newMemoTable(entries, stripes int) *memoTable {
-	if entries <= 0 {
-		entries = defaultMemoEntries
-	}
+func newMemoTable(stripes int) *memoTable {
 	if stripes < 1 {
 		stripes = 1
 	}
-	t := &memoTable{stripes: make([]memoStripe, stripes), stripeCap: entries / stripes}
-	if t.stripeCap < 1 {
-		t.stripeCap = 1
-	}
+	t := &memoTable{stripes: make([]memoStripe, stripes), stripeCap: memoEntries / stripes}
 	for i := range t.stripes {
 		t.stripes[i].m = make(map[string]struct{})
 	}

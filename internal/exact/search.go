@@ -62,9 +62,6 @@ type Options struct {
 	DisableSymmetry bool // orbit symmetry breaking
 	DisableMemo     bool // dominance memoization (transposition table)
 	DisableBounds   bool // demand-bound cuts
-	// MemoEntries bounds the transposition table (0 = default 2^18
-	// entries; negative disables memoization like DisableMemo).
-	MemoEntries int
 	// SeedMemo pre-loads the transposition table with signatures
 	// exported by a previous search (Stats.MemoSnapshot) of a problem
 	// in the same memo class (MemoKey). Seeding is verdict-invisible
@@ -183,7 +180,7 @@ func FindScheduleCtx(ctx context.Context, m *core.Model, opt Options) (*sched.Sc
 		if workers > 1 {
 			stripes = memoStripes
 		}
-		mt = newMemoTable(p.memoEntries, stripes)
+		mt = newMemoTable(stripes)
 		if len(opt.SeedMemo) > 0 {
 			st.MemoSeeded = mt.Seed(opt.SeedMemo)
 		}

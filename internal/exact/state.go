@@ -45,8 +45,7 @@ type problem struct {
 	hasHall  bool
 	// memoOK gates memoization on representability: every signature
 	// component must fit its encoding.
-	memoOK      bool
-	memoEntries int
+	memoOK bool
 }
 
 // needPair is one element's slot demand inside a deadline window.
@@ -104,8 +103,7 @@ func newProblem(m *core.Model, opt Options) *problem {
 	}
 
 	p.bounds = !opt.DisableBounds
-	p.memoEntries = opt.MemoEntries
-	if !opt.DisableMemo && opt.MemoEntries >= 0 {
+	if !opt.DisableMemo {
 		// every signature component must fit its encoding: one byte
 		// per symbol id, one bit per spec / orbit symbol
 		p.memoOK = len(p.syms) <= 254 && len(p.needs) <= 64

@@ -1,14 +1,9 @@
 package queue
 
 import (
-	"bufio"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"sort"
 
-	"rtm/internal/store"
 	"rtm/internal/trace"
 )
 
@@ -19,108 +14,66 @@ import (
 // pending/running jobs (running reverts to pending on replay, exactly
 // the crash-checkpoint rule). Started records and terminal jobs'
 // model-carrying submitted records are what the rewrite sheds — on a
-// long-lived queue that is almost the whole journal.
+// long-lived queue that is almost the whole journal. The journal also
+// compacts itself once it outgrows its live set (compactIfBloatedLocked).
 //
-// The rewrite mirrors the store's Compact: temporary file, fsync,
-// atomic rename, directory sync, reopen — a crash at any point leaves
-// either the old or the new journal, never a mixture.
+// The rewrite is store.Log.Rewrite, the crash contract every framed log
+// shares: a crash at any point leaves either the old or the new
+// journal, never a mixture.
 func (q *Queue) Compact() error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return ErrClosed
 	}
+	return q.compactLocked()
+}
 
+// compactLocked is Compact with q.mu held.
+func (q *Queue) compactLocked() error {
 	jobs := make([]*job, 0, len(q.jobs))
 	for _, j := range q.jobs {
 		jobs = append(jobs, j)
 	}
 	sort.Slice(jobs, func(i, k int) bool { return jobs[i].seq < jobs[k].seq })
 
-	path := filepath.Join(q.dir, journalName)
-	tmp := path + ".tmp"
-	tf, err := os.Create(tmp)
+	err := q.log.Rewrite(func(put func([]byte) error) error {
+		for _, j := range jobs {
+			// Priority rides along on terminal records too — informational
+			// there, but it keeps the replayed status identical to the live
+			// one (the equivalence the compaction test pins).
+			rec := &trace.QueueRecordJSON{Fingerprint: j.id, Unix: j.submitUnix, Priority: j.priority}
+			switch j.state {
+			case Done:
+				rec.Type = trace.QueueDone
+				rec.Feasible = j.verdict.Feasible
+				rec.Source = j.verdict.Source
+			case Failed:
+				rec.Type = trace.QueueFailed
+				rec.Error = j.errMsg
+				if rec.Error == "" {
+					rec.Error = "failed"
+				}
+			default:
+				if j.model == nil {
+					continue // defensive: a model-less job cannot be re-journaled or run
+				}
+				rec.Type = trace.QueueSubmitted
+				rec.DeadlineUnix = j.deadline
+				rec.Model = trace.NewModelJSON(j.model)
+			}
+			payload, err := trace.EncodeQueueRecord(rec)
+			if err != nil {
+				return err
+			}
+			if err := put(payload); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return fmt.Errorf("queue: compact: %w", err)
 	}
-	fail := func(err error) error {
-		tf.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("queue: compact: %w", err)
-	}
-	w := bufio.NewWriter(tf)
-	var size int64
-	for _, j := range jobs {
-		// Priority rides along on terminal records too — informational
-		// there, but it keeps the replayed status identical to the live
-		// one (the equivalence the compaction test pins).
-		rec := &trace.QueueRecordJSON{Fingerprint: j.id, Unix: j.submitUnix, Priority: j.priority}
-		switch j.state {
-		case Done:
-			rec.Type = trace.QueueDone
-			rec.Feasible = j.verdict.Feasible
-			rec.Source = j.verdict.Source
-		case Failed:
-			rec.Type = trace.QueueFailed
-			rec.Error = j.errMsg
-			if rec.Error == "" {
-				rec.Error = "failed"
-			}
-		default:
-			if j.model == nil {
-				continue // defensive: a model-less job cannot be re-journaled or run
-			}
-			rec.Type = trace.QueueSubmitted
-			rec.DeadlineUnix = j.deadline
-			rec.Model = trace.NewModelJSON(j.model)
-		}
-		payload, err := trace.EncodeQueueRecord(rec)
-		if err != nil {
-			return fail(err)
-		}
-		buf, err := store.Frame(payload)
-		if err != nil {
-			return fail(err)
-		}
-		if _, err := w.Write(buf); err != nil {
-			return fail(err)
-		}
-		size += int64(len(buf))
-	}
-	if err := w.Flush(); err != nil {
-		return fail(err)
-	}
-	if err := tf.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := tf.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("queue: compact: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("queue: compact: %w", err)
-	}
-	syncDir(q.dir)
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("queue: compact: reopening: %w", err)
-	}
-	if _, err := f.Seek(size, io.SeekStart); err != nil {
-		f.Close()
-		return fmt.Errorf("queue: compact: %w", err)
-	}
-	q.f.Close()
-	q.f = f
-	q.bytes = size
 	return nil
-}
-
-// syncDir fsyncs a directory so a just-renamed file survives a crash;
-// best-effort on filesystems that refuse directory syncs.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
 }

@@ -3,6 +3,7 @@ package queue
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -173,5 +174,77 @@ func TestQueueDeadlineExpired(t *testing.T) {
 	s := q.Stats()
 	if s.Expired != 1 || s.Failed != 1 || s.Completed != 1 {
 		t.Fatalf("stats: %+v", s)
+	}
+}
+
+// wideModel is testModel with six elements, each under its own
+// constraint: a submitted record several times the size of the done
+// record that outlives it, as real specs are. Distinct weights keep
+// the elements from being interchangeable, which keeps
+// canonicalization cheap.
+func wideModel(i int) *core.Model {
+	m := core.NewModel()
+	for e := 0; e < 6; e++ {
+		name := fmt.Sprintf("e%d", e)
+		m.Comm.AddElement(name, 1+e)
+		m.AddConstraint(&core.Constraint{
+			Name: "c" + name, Task: core.ChainTask(name),
+			Period: 64 + i, Deadline: 64 + i, Kind: core.Asynchronous,
+		})
+	}
+	return m
+}
+
+// TestQueueJournalStaysBounded runs submit→done cycles until the
+// journal has crossed the compaction floor several times: without the
+// size-bounded trigger it grows by three records per job forever. The
+// journal must never outgrow four times its live set (one record per
+// job, measured by a final explicit Compact) past the floor, and a
+// reopen of the self-compacted journal must replay the live queue.
+func TestQueueJournalStaysBounded(t *testing.T) {
+	dir := t.TempDir()
+	q := openQ(t, dir, 1)
+	q.Start((&instantSolver{}).solve)
+
+	const cycles = 2500
+	var peak, prev int64
+	compactions := 0
+	for i := 0; i < cycles; i++ {
+		st, err := q.Submit(wideModel(i), SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitTerminal(t, q, st.ID)
+		size := q.Bytes()
+		if size < prev {
+			compactions++
+		}
+		peak = max(peak, size)
+		prev = size
+	}
+	if compactions < 3 {
+		t.Fatalf("journal compacted itself %d times in %d cycles, want at least 3", compactions, cycles)
+	}
+
+	want := stateMap(q)
+	if err := q.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	const floor = 1 << 20 // store.Log's compaction floor
+	live := q.Bytes()
+	t.Logf("%d cycles: %d self-compactions, peak %d bytes, %d live", cycles, compactions, peak, live)
+	if peak > max(floor, 4*live) {
+		t.Fatalf("journal peaked at %d bytes, bound max(%d, 4×%d live)", peak, floor, live)
+	}
+	q.Close()
+
+	got := stateMap(openQ(t, dir, 0))
+	if len(got) != len(want) {
+		t.Fatalf("replayed %d jobs, want %d", len(got), len(want))
+	}
+	for id, w := range want {
+		if got[id] != w {
+			t.Fatalf("job %s: replayed %+v, want %+v", id, got[id], w)
+		}
 	}
 }

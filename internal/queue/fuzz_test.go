@@ -48,7 +48,7 @@ func FuzzQueueDecode(f *testing.F) {
 			if verr := rec.Validate(); verr != nil {
 				t.Fatalf("decoder accepted an invalid record: %v\npayload: %s", verr, payload)
 			}
-			q.replay(rec)
+			q.replay(rec, int64(len(payload)))
 			return nil
 		})
 		if err != nil {

@@ -1,11 +1,8 @@
 package queue
 
 import (
-	"bufio"
 	"container/heap"
-	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -16,10 +13,10 @@ import (
 )
 
 // journalName is the queue's journal inside its directory. The file
-// shares the schedule store's segment framing (store.Frame /
-// store.ScanFrames) but never its directory: queue state and decided
-// outcomes are different lifetimes (jobs are garbage once terminal
-// and compacted; store records are forever).
+// is a store.Log — the schedule store's framing, recovery and rewrite
+// — but never in the store's directory: queue state and decided
+// outcomes are different lifetimes (jobs shrink to one record once
+// terminal; store records are forever).
 const journalName = "queue.log"
 
 // Queue is a durable, fingerprint-deduplicated solve queue. Create
@@ -32,8 +29,8 @@ type Queue struct {
 	mu   sync.Mutex
 	cond *sync.Cond // signals workers that pending gained a job (or closing)
 
-	f       *os.File // journal, positioned at the clean end
-	bytes   int64    // clean journal length
+	log     *store.Log
+	live    int64 // sum of jobs' liveLen: the journal's size once compacted
 	jobs    map[string]*job
 	pending pendingHeap
 	seq     uint64
@@ -53,11 +50,6 @@ type Queue struct {
 	workers workerPool
 }
 
-// errBadQueueRecord marks a checksummed frame whose payload is not a
-// valid queue record — replay treats it as corruption, ending the
-// clean prefix there (same policy as the schedule store).
-var errBadQueueRecord = errors.New("queue: undecodable journal record")
-
 // Open opens (creating if necessary) the queue rooted at dir,
 // replaying the journal into the job table and truncating any torn or
 // corrupt tail to the clean prefix. Recovery rules: terminal records
@@ -68,48 +60,24 @@ func Open(dir string, opt Options) (*Queue, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("queue: %w", err)
 	}
-	path := filepath.Join(dir, journalName)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("queue: %w", err)
-	}
-	q := &Queue{dir: dir, opt: opt, f: f, jobs: make(map[string]*job)}
+	q := &Queue{dir: dir, opt: opt, jobs: make(map[string]*job)}
 	q.cond = sync.NewCond(&q.mu)
-
-	valid, dropped, err := store.ScanFrames(bufio.NewReader(f), func(payload []byte) error {
-		rec, derr := trace.DecodeQueueRecord(payload)
-		if derr != nil {
-			return errBadQueueRecord
+	var dropped bool
+	var err error
+	q.log, dropped, err = store.OpenLog(filepath.Join(dir, journalName), opt.NoSync, func(payload []byte, n int64) error {
+		rec, err := trace.DecodeQueueRecord(payload)
+		if err != nil {
+			return err
 		}
-		q.replay(rec)
+		q.replay(rec, n)
 		return nil
 	})
-	if errors.Is(err, errBadQueueRecord) {
-		dropped, err = true, nil
-	}
 	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("queue: replaying %s: %w", path, err)
+		return nil, fmt.Errorf("queue: %w", err)
 	}
 	if dropped {
 		q.corruptTail++
 	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("queue: %w", err)
-	}
-	if fi.Size() != valid {
-		if err := f.Truncate(valid); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("queue: truncating torn tail: %w", err)
-		}
-	}
-	if _, err := f.Seek(valid, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("queue: %w", err)
-	}
-	q.bytes = valid
 
 	// every surviving non-terminal job is pending again; jobs a crash
 	// interrupted mid-solve (started, no terminal) count as resumed
@@ -126,10 +94,10 @@ func Open(dir string, opt Options) (*Queue, error) {
 	return q, nil
 }
 
-// replay applies one journal record to the job table (Open only; no
-// locking, no appending). Records for terminal fingerprints are
-// ignored — the no-resurrection rule.
-func (q *Queue) replay(rec *trace.QueueRecordJSON) {
+// replay applies one journal record, framed in n bytes, to the job
+// table (Open only; no locking, no appending). Records for terminal
+// fingerprints are ignored — the no-resurrection rule.
+func (q *Queue) replay(rec *trace.QueueRecordJSON, n int64) {
 	q.replayed++
 	j := q.jobs[rec.Fingerprint]
 	if j != nil && j.state.Terminal() {
@@ -153,6 +121,7 @@ func (q *Queue) replay(rec *trace.QueueRecordJSON) {
 			seq: q.seq, submitUnix: rec.Unix, submitted: timeNowAt(rec.Unix),
 			state: Pending, done: make(chan struct{}),
 		}
+		q.setLive(q.jobs[rec.Fingerprint], n)
 	case trace.QueueStarted:
 		if j != nil {
 			j.started = true
@@ -164,6 +133,7 @@ func (q *Queue) replay(rec *trace.QueueRecordJSON) {
 		j.state = Done
 		j.verdict = Verdict{Decided: true, Feasible: rec.Feasible, Source: rec.Source}
 		close(j.done)
+		q.setLive(j, n)
 	case trace.QueueFailed:
 		if j == nil {
 			j = q.stubJob(rec)
@@ -171,6 +141,7 @@ func (q *Queue) replay(rec *trace.QueueRecordJSON) {
 		j.state = Failed
 		j.errMsg = rec.Error
 		close(j.done)
+		q.setLive(j, n)
 	}
 }
 
@@ -188,27 +159,25 @@ func (q *Queue) stubJob(rec *trace.QueueRecordJSON) *job {
 	return j
 }
 
+// setLive records that j's surviving record — the one Compact keeps
+// for it — is framed in n bytes.
+func (q *Queue) setLive(j *job, n int64) {
+	q.live += n - j.liveLen
+	j.liveLen = n
+}
+
 // appendLocked encodes, frames, writes and (policy permitting) fsyncs
-// one record. Caller holds q.mu.
-func (q *Queue) appendLocked(rec *trace.QueueRecordJSON) error {
+// one record, returning its framed length. Caller holds q.mu.
+func (q *Queue) appendLocked(rec *trace.QueueRecordJSON) (int64, error) {
 	payload, err := trace.EncodeQueueRecord(rec)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	buf, err := store.Frame(payload)
+	n, err := q.log.Append(payload)
 	if err != nil {
-		return err
+		return 0, fmt.Errorf("queue: %w", err)
 	}
-	if _, err := q.f.Write(buf); err != nil {
-		return fmt.Errorf("queue: append: %w", err)
-	}
-	if !q.opt.NoSync {
-		if err := q.f.Sync(); err != nil {
-			return fmt.Errorf("queue: sync: %w", err)
-		}
-	}
-	q.bytes += int64(len(buf))
-	return nil
+	return n, nil
 }
 
 // transitionLocked journals a non-submitted state transition. Unlike
@@ -216,9 +185,26 @@ func (q *Queue) appendLocked(rec *trace.QueueRecordJSON) error {
 // in-memory transition proceeds and the failure is counted — the
 // replayed journal will simply re-run the job, which is idempotent
 // because outcomes land in the content-addressed store.
-func (q *Queue) transitionLocked(rec *trace.QueueRecordJSON) {
-	if err := q.appendLocked(rec); err != nil {
+func (q *Queue) transitionLocked(rec *trace.QueueRecordJSON) int64 {
+	n, err := q.appendLocked(rec)
+	if err != nil {
 		q.journalErrors++
+	}
+	return n
+}
+
+// compactIfBloatedLocked rewrites the journal once it carries more
+// than four times its live size past the floor (store.Log.Bloated).
+// Every job costs at least three records (submitted, started,
+// terminal) and keeps one, so without this a long-lived journal grows
+// without bound. Callers run it after the job table reflects the
+// record just appended. A failed rewrite leaves the old journal in
+// place and is counted like a failed append. Caller holds q.mu.
+func (q *Queue) compactIfBloatedLocked() {
+	if q.log.Bloated(q.live) {
+		if err := q.compactLocked(); err != nil {
+			q.journalErrors++
+		}
 	}
 }
 

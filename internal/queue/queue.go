@@ -11,12 +11,13 @@
 // pipeline, and their decided outcomes land in the schedule store so
 // the whole fleet's cache warms.
 //
-// Durability reuses internal/store's CRC-32C segment framing: the
+// Durability is a store.Log, the schedule store's crash-safe log: the
 // journal (<dir>/queue.log) is an append-only log of
 // trace.QueueRecordJSON state transitions — submitted, started, done,
 // failed — replayed on Open with the same longest-clean-prefix
-// recovery and torn-tail truncation as the schedule store. The replay
-// rules make crash safety a non-event:
+// recovery and torn-tail truncation as the schedule store, and
+// compacted to one record per job once it outgrows its live set. The
+// replay rules make crash safety a non-event:
 //
 //   - A submitted record with no terminal record is a pending job,
 //     whether or not a started record follows it — a crash (or
@@ -152,7 +153,7 @@ type Stats struct {
 	Resumed       int64 // pending jobs recovered by Open's replay
 	Replayed      int64 // journal records accepted by Open's replay
 	CorruptTail   int64 // torn/corrupt tail truncation events at Open
-	JournalErrors int64 // appends that failed (durability lost, not state)
+	JournalErrors int64 // failed appends (durability lost, not state) and self-compactions
 	Depth         int64 // pending jobs right now
 	Running       int64 // jobs being solved right now
 	OldestAgeNS   int64 // age of the oldest non-terminal job, 0 if none
@@ -173,6 +174,7 @@ type job struct {
 	errMsg  string
 	started bool          // a started record was seen (replay: crash mid-solve)
 	done    chan struct{} // closed at terminal state
+	liveLen int64         // framed bytes of the record Compact keeps for the job
 }
 
 // snapshot renders the job under the queue lock.
@@ -265,7 +267,8 @@ func (q *Queue) Submit(m *core.Model, opt SubmitOptions) (*Status, error) {
 	}
 	// the job exists only once it is durable: a failed append is a
 	// failed submit, not a memory-only job
-	if err := q.appendLocked(rec); err != nil {
+	n, err := q.appendLocked(rec)
+	if err != nil {
 		return nil, err
 	}
 	q.seq++
@@ -275,8 +278,10 @@ func (q *Queue) Submit(m *core.Model, opt SubmitOptions) (*Status, error) {
 		state: Pending, done: make(chan struct{}),
 	}
 	q.jobs[fp] = j
+	q.setLive(j, n)
 	heap.Push(&q.pending, j)
 	q.submitted++
+	q.compactIfBloatedLocked()
 	q.cond.Signal()
 	return j.snapshot(), nil
 }
@@ -357,5 +362,5 @@ func (q *Queue) Dir() string { return q.dir }
 func (q *Queue) Bytes() int64 {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.bytes
+	return q.log.Size()
 }

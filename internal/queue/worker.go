@@ -109,11 +109,15 @@ func (q *Queue) terminalLocked(j *job, st State, v Verdict, errMsg string) {
 		rec.Error = errMsg
 		q.failed++
 	}
-	q.transitionLocked(rec)
+	n := q.transitionLocked(rec)
 	j.state = st
 	j.verdict = v
 	j.errMsg = errMsg
 	close(j.done)
+	if n > 0 {
+		q.setLive(j, n)
+	}
+	q.compactIfBloatedLocked()
 }
 
 // Close stops the worker pool (canceling in-flight solves, which
@@ -136,12 +140,5 @@ func (q *Queue) Close() error {
 
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	var err error
-	if !q.opt.NoSync {
-		err = q.f.Sync()
-	}
-	if cerr := q.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return q.log.Close()
 }

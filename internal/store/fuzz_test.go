@@ -3,6 +3,8 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"rtm/internal/trace"
@@ -10,10 +12,11 @@ import (
 
 // FuzzStoreDecode pins the reader's no-panic contract: arbitrary
 // bytes fed to the segment reader must come back as an error or as
-// valid records — never a panic, never an invalid record. The seed
-// corpus is built from real segments (whole, truncated, bit-flipped,
-// and with garbage appended), which is exactly the damage spectrum a
-// crashed or bit-rotted log presents.
+// valid records — never a panic, never an invalid record — and, as a
+// log file, must open, reopen and take an append without disturbing
+// their clean prefix. The seed corpus is built from real segments
+// (whole, truncated, bit-flipped, and with garbage appended), which is
+// exactly the damage spectrum a crashed or bit-rotted log presents.
 func FuzzStoreDecode(f *testing.F) {
 	var seg bytes.Buffer
 	for i := 0; i < 4; i++ {
@@ -37,10 +40,25 @@ func FuzzStoreDecode(f *testing.F) {
 	f.Add(flipped)
 	f.Add(append(append([]byte(nil), whole...), "trailing junk"...))
 
+	path := filepath.Join(f.TempDir(), logName)
+	file, err := os.Create(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer file.Close()
+	appended, err := trace.EncodeStoreRecord(testRecord(100))
+	if err != nil {
+		f.Fatal(err)
+	}
+	replay := func(payload []byte, _ int64) error {
+		_, err := trace.DecodeStoreRecord(payload)
+		return err
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		valid, _, err := scanSegment(bytes.NewReader(data), func(r *Record) error {
-			if r == nil {
-				t.Fatal("reader produced a nil record")
+		valid, _, err := scanClean(bytes.NewReader(data), func(payload []byte, _ int64) error {
+			r, err := trace.DecodeStoreRecord(payload)
+			if err != nil {
+				return err
 			}
 			if err := r.Validate(); err != nil {
 				t.Fatalf("reader produced an invalid record: %v", err)
@@ -52,6 +70,44 @@ func FuzzStoreDecode(f *testing.F) {
 		}
 		if valid < 0 || valid > int64(len(data)) {
 			t.Fatalf("clean prefix %d outside [0,%d]", valid, len(data))
+		}
+
+		// The same bytes as a log file, through the Log that owns
+		// truncation: Open keeps exactly the clean prefix, a reopen finds
+		// nothing left to drop, and an append extends that prefix. One
+		// file serves every exec of a worker (they run one at a time),
+		// rewritten in place: a fresh file or directory per exec costs
+		// ext4 a flush each and slows fuzzing severalfold.
+		if _, err := file.WriteAt(data, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := file.Truncate(int64(len(data))); err != nil {
+			t.Fatal(err)
+		}
+		open := func(stage string, want int64, wantDropped bool) *Log {
+			l, dropped, err := OpenLog(path, true, replay)
+			if err != nil {
+				t.Fatalf("%s: %v", stage, err)
+			}
+			if l.Size() != want || dropped != wantDropped {
+				t.Fatalf("%s: kept %d bytes (dropped %v), want %d (%v)", stage, l.Size(), dropped, want, wantDropped)
+			}
+			return l
+		}
+		open("open", valid, valid < int64(len(data))).Close()
+		l := open("reopen", valid, false)
+		n, err := l.Append(appended)
+		if err != nil {
+			t.Fatalf("append after recovery: %v", err)
+		}
+		l.Close()
+		open("reopen after append", valid+n, false).Close()
+		onDisk, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(onDisk[:valid], data[:valid]) || !bytes.Equal(onDisk[valid:], mustFrame(t, appended)) {
+			t.Fatal("recovery and append changed the clean prefix or the appended frame")
 		}
 	})
 }
@@ -89,9 +145,10 @@ func FuzzMemoSegmentDecode(f *testing.F) {
 	f.Add(append(append([]byte(nil), whole...), "trailing junk"...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		valid, _, err := scanMemoSegment(bytes.NewReader(data), func(r *MemoRecord) error {
-			if r == nil {
-				t.Fatal("reader produced a nil record")
+		valid, _, err := scanClean(bytes.NewReader(data), func(payload []byte, _ int64) error {
+			r, err := trace.DecodeMemoRecord(payload)
+			if err != nil {
+				return err
 			}
 			if err := r.Validate(); err != nil {
 				t.Fatalf("reader produced an invalid record: %v", err)
@@ -120,4 +177,13 @@ func FuzzMemoSegmentDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+func mustFrame(t *testing.T, payload []byte) []byte {
+	t.Helper()
+	frame, err := Frame(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
 }

@@ -1,13 +1,10 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sort"
 
 	"rtm/internal/trace"
@@ -18,11 +15,12 @@ import (
 // canonical fingerprint), memo.log answers "WHY it was refuted" — the
 // exact search's exported transposition table, keyed by the memo-class
 // key (exact.MemoKey) so any later search of a structurally identical
-// problem starts pre-pruned. Records live in their own segment file
-// with the same CRC framing and longest-clean-prefix recovery as the
+// problem starts pre-pruned. Records live in their own Log
+// (segment.go), with the same framing, recovery and rewrite as the
 // verdict log; a separate file (not a tagged record in store.log)
 // because the two record types share no schema and a memo payload must
-// never be decodable as a verdict.
+// never be decodable as a verdict. Merges leave superseded frames
+// behind, so the memo log compacts itself under Log.Bloated.
 //
 // Unlike verdicts, memo records are cumulative: PutMemo merges the new
 // signature set into the class's existing one. The merge is a union
@@ -51,93 +49,17 @@ const memoLogName = "memo.log"
 // bench workloads derive.
 const DefaultMemoSigCap = 4096
 
-// memoCompactMin is the memo log size below which auto-compaction
-// never triggers (compacting tiny logs is churn, not reclamation).
-const memoCompactMin = 1 << 20
-
 func (s *Store) sigCap() int {
-	if s.opt.MemoSigCap == 0 {
+	if s.opt.MemoSigCap <= 0 {
 		return DefaultMemoSigCap
-	}
-	if s.opt.MemoSigCap < 0 {
-		return int(^uint(0) >> 1)
 	}
 	return s.opt.MemoSigCap
 }
 
-// scanMemoSegment reads framed memo records from r: ScanFrames plus
-// the memo decode step, with the same prefix-property semantics as
-// scanSegment.
-func scanMemoSegment(r io.Reader, fn func(*MemoRecord) error) (valid int64, dropped bool, err error) {
-	var fnErr error
-	valid, dropped, err = ScanFrames(r, func(payload []byte) error {
-		rec, derr := trace.DecodeMemoRecord(payload)
-		if derr != nil {
-			return errUndecodable
-		}
-		if ferr := fn(rec); ferr != nil {
-			fnErr = ferr
-			return ferr
-		}
-		return nil
-	})
-	switch {
-	case err == errUndecodable:
-		return valid, true, nil
-	case fnErr != nil:
-		return valid, false, fnErr
-	default:
-		return valid, dropped, err
-	}
-}
-
-// openMemoLog replays (creating if necessary) the memo segment log —
-// called by Open with the store lock not yet shared.
-func (s *Store) openMemoLog() error {
-	path := filepath.Join(s.dir, memoLogName)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	s.memo = make(map[string]*MemoRecord)
-	s.fpKey = make(map[string]string)
-	s.frameLen = make(map[string]int64)
-	valid, dropped, err := scanMemoSegment(bufio.NewReader(f), func(r *MemoRecord) error {
-		// last write wins: appends for a key are cumulative merges,
-		// so the latest record supersedes the earlier ones
-		s.indexMemoLocked(r)
-		return nil
-	})
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("store: replaying %s: %w", path, err)
-	}
-	if dropped {
-		s.corrupt++
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("store: %w", err)
-	}
-	if fi.Size() != valid {
-		if err := f.Truncate(valid); err != nil {
-			f.Close()
-			return fmt.Errorf("store: truncating torn memo tail: %w", err)
-		}
-	}
-	if _, err := f.Seek(valid, io.SeekStart); err != nil {
-		f.Close()
-		return fmt.Errorf("store: %w", err)
-	}
-	s.memoF = f
-	s.memoB = valid
-	return nil
-}
-
-// indexMemoLocked installs rec as the live record of its key and
-// maintains the fingerprint reverse index and live-byte accounting.
-func (s *Store) indexMemoLocked(rec *MemoRecord) {
+// indexMemoLocked installs rec, whose frame occupies n log bytes, as
+// the live record of its key and maintains the fingerprint reverse
+// index and live-byte accounting.
+func (s *Store) indexMemoLocked(rec *MemoRecord, n int64) {
 	if old, ok := s.memo[rec.Key]; ok {
 		s.memoLive -= s.frameLen[rec.Key]
 		for _, fp := range old.Fingerprints {
@@ -146,22 +68,11 @@ func (s *Store) indexMemoLocked(rec *MemoRecord) {
 	}
 	s.memo[rec.Key] = rec
 	s.mleaf.touch(rec.Key)
-	fl := memoFrameLen(rec)
-	s.frameLen[rec.Key] = fl
-	s.memoLive += fl
+	s.frameLen[rec.Key] = n
+	s.memoLive += n
 	for _, fp := range rec.Fingerprints {
 		s.fpKey[fp] = rec.Key
 	}
-}
-
-// memoFrameLen estimates rec's framed size (exact when encoding
-// succeeds; records reaching the index always encode).
-func memoFrameLen(rec *MemoRecord) int64 {
-	payload, err := trace.EncodeMemoRecord(rec)
-	if err != nil {
-		return 0
-	}
-	return headerLen + int64(len(payload))
 }
 
 // PutMemo merges sigs (and the observed fingerprints) into the memo
@@ -170,8 +81,7 @@ func memoFrameLen(rec *MemoRecord) int64 {
 // nothing is a no-op that writes no byte. The merged signature set is
 // the union truncated to the per-class cap, largest first.
 func (s *Store) PutMemo(key string, fps []string, sigs [][]byte) error {
-	changed, err := s.putMemo(key, fps, sigs)
-	_ = changed
+	_, err := s.putMemo(key, fps, sigs)
 	return err
 }
 
@@ -190,23 +100,12 @@ func (s *Store) putMemo(key string, fps []string, sigs [][]byte) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	frame, err := Frame(payload)
+	n, err := s.memoLog.Append(payload)
 	if err != nil {
-		return false, err
+		return false, fmt.Errorf("store: %w", err)
 	}
-	if _, err := s.memoF.Write(frame); err != nil {
-		return false, fmt.Errorf("store: memo append: %w", err)
-	}
-	if !s.opt.NoSync {
-		if err := s.memoF.Sync(); err != nil {
-			return false, fmt.Errorf("store: memo sync: %w", err)
-		}
-	}
-	s.indexMemoLocked(merged)
-	s.memoB += int64(len(frame))
-	// size-bounded reclamation: rewritten classes leave dead frames
-	// behind; compact once the log carries 4x the live set
-	if s.memoB > memoCompactMin && s.memoB > 4*s.memoLive {
+	s.indexMemoLocked(merged, n)
+	if s.memoLog.Bloated(s.memoLive) {
 		if err := s.compactMemoLocked(); err != nil {
 			return true, err
 		}
@@ -357,84 +256,34 @@ func (s *Store) MemoSigs() int {
 func (s *Store) MemoBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.memoB
+	return s.memoLog.Size()
 }
 
 // MemoKeys returns the indexed class keys in sorted order.
 func (s *Store) MemoKeys() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.memo))
-	for k := range s.memo {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return sortedKeys(s.memo)
 }
 
 // compactMemoLocked rewrites the memo log to exactly the live index
-// via a temporary file and atomic rename (same crash contract as
-// Compact). Caller holds s.mu.
+// (same crash contract as Compact). Caller holds s.mu.
 func (s *Store) compactMemoLocked() error {
-	path := filepath.Join(s.dir, memoLogName)
-	tmp := path + ".tmp"
-	tf, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("store: memo compact: %w", err)
-	}
-	w := bufio.NewWriter(tf)
-	var size int64
-	keys := make([]string, 0, len(s.memo))
-	for k := range s.memo {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		payload, err := encodeMemoBounded(s.memo[k])
-		if err == nil {
-			var frame []byte
-			frame, err = Frame(payload)
-			if err == nil {
-				_, err = w.Write(frame)
-				size += int64(len(frame))
+	err := s.memoLog.Rewrite(func(put func([]byte) error) error {
+		for _, k := range sortedKeys(s.memo) {
+			payload, err := encodeMemoBounded(s.memo[k])
+			if err != nil {
+				return err
+			}
+			if err := put(payload); err != nil {
+				return err
 			}
 		}
-		if err != nil {
-			tf.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("store: memo compact: %w", err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		tf.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: memo compact: %w", err)
-	}
-	if err := tf.Sync(); err != nil {
-		tf.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: memo compact: %w", err)
-	}
-	if err := tf.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: memo compact: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: memo compact: %w", err)
-	}
-	syncDir(s.dir)
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+		return nil
+	})
 	if err != nil {
-		return fmt.Errorf("store: memo compact: reopening: %w", err)
-	}
-	if _, err := f.Seek(size, io.SeekStart); err != nil {
-		f.Close()
 		return fmt.Errorf("store: memo compact: %w", err)
 	}
-	s.memoF.Close()
-	s.memoF = f
-	s.memoB = size
 	return nil
 }
 
@@ -475,19 +324,8 @@ func writeMemoRecordDigest(h io.Writer, r *MemoRecord) {
 // added nothing new.
 func (s *Store) ImportMemoFrames(data []byte) (ImportStats, error) {
 	var st ImportStats
-	if len(data) > maxSegmentLen {
-		data = data[:maxSegmentLen:maxSegmentLen]
-		st.Dropped = true
-	}
 	var recs []*MemoRecord
-	_, dropped, err := scanMemoSegment(bytes.NewReader(data), func(r *MemoRecord) error {
-		recs = append(recs, r)
-		return nil
-	})
-	if err != nil {
-		return st, fmt.Errorf("store: memo import: %w", err)
-	}
-	st.Dropped = st.Dropped || dropped
+	recs, st.Dropped = decodeSegment(data, trace.DecodeMemoRecord)
 	for _, rec := range recs {
 		changed, err := s.putMemo(rec.Key, rec.Fingerprints, rec.Sigs)
 		if err != nil {

@@ -300,7 +300,7 @@ func (s *Store) ExportRecords(fps []string) ([]byte, int, error) {
 	if s.closed {
 		return nil, 0, fmt.Errorf("store: closed")
 	}
-	var buf bytes.Buffer
+	var buf []byte
 	n := 0
 	prev := ""
 	for i, fp := range want {
@@ -313,20 +313,18 @@ func (s *Store) ExportRecords(fps []string) ([]byte, int, error) {
 			continue
 		}
 		payload, err := trace.EncodeStoreRecord(rec)
+		if err == nil {
+			buf, err = appendFrame(buf, payload)
+		}
 		if err != nil {
 			return nil, 0, fmt.Errorf("store: export: %w", err)
 		}
-		frame, err := Frame(payload)
-		if err != nil {
-			return nil, 0, fmt.Errorf("store: export: %w", err)
-		}
-		if buf.Len()+len(frame) > maxSegmentLen {
+		if len(buf) > maxSegmentLen {
 			return nil, 0, fmt.Errorf("store: fetch exceeds segment bound")
 		}
-		buf.Write(frame)
 		n++
 	}
-	return buf.Bytes(), n, nil
+	return buf, n, nil
 }
 
 // ExportMemoPrefix seals the memo classes under prefix as a
@@ -345,23 +343,40 @@ func (s *Store) ExportMemoPrefix(prefix string) ([]byte, int, error) {
 		return nil, 0, fmt.Errorf("store: closed")
 	}
 	lo, hi := leafRange(prefix)
-	var buf bytes.Buffer
+	var buf []byte
 	n := 0
 	for l := lo; l < hi; l++ {
 		for _, k := range s.mleaf.items[l] {
 			payload, err := encodeMemoBounded(s.memo[k])
+			if err == nil {
+				buf, err = appendFrame(buf, payload)
+			}
 			if err != nil {
 				return nil, 0, fmt.Errorf("store: memo export: %w", err)
 			}
-			frame, err := Frame(payload)
-			if err != nil {
-				return nil, 0, fmt.Errorf("store: memo export: %w", err)
-			}
-			buf.Write(frame)
 			n++
 		}
 	}
-	return buf.Bytes(), n, nil
+	return buf, n, nil
+}
+
+// decodeSegment decodes the clean prefix of a sealed segment from a
+// peer, capped at maxSegmentLen, with the same scan and decode rule as
+// a log on Open. dropped reports a cut, torn, corrupt or undecodable
+// tail.
+func decodeSegment[T any](data []byte, decode func([]byte) (T, error)) (recs []T, dropped bool) {
+	if len(data) > maxSegmentLen {
+		data, dropped = data[:maxSegmentLen], true
+	}
+	// a bytes.Reader cannot fail, so the scan returns no error
+	_, torn, _ := scanClean(bytes.NewReader(data), func(payload []byte, _ int64) error {
+		r, err := decode(payload)
+		if err == nil {
+			recs = append(recs, r)
+		}
+		return err
+	})
+	return recs, dropped || torn
 }
 
 // ImportStats reports what an ImportFrames call did.
@@ -389,28 +404,15 @@ type ImportStats struct {
 // a shorter clean prefix, same as the on-disk log.
 func (s *Store) ImportFrames(data []byte) (ImportStats, error) {
 	var st ImportStats
-	if len(data) > maxSegmentLen {
-		data = data[:maxSegmentLen:maxSegmentLen]
-		st.Dropped = true
-	}
 	var recs []*Record
-	_, dropped, err := scanSegment(bytes.NewReader(data), func(r *Record) error {
-		cp := *r
-		cp.Slots = append([]int(nil), r.Slots...)
-		recs = append(recs, &cp)
-		return nil
-	})
-	if err != nil {
-		return st, fmt.Errorf("store: import: %w", err)
-	}
-	st.Dropped = st.Dropped || dropped
+	recs, st.Dropped = decodeSegment(data, trace.DecodeStoreRecord)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return st, fmt.Errorf("store: closed")
 	}
-	var log bytes.Buffer
+	var payloads [][]byte
 	var fresh []*Record
 	for _, rec := range recs {
 		if _, ok := s.index[rec.Fingerprint]; ok {
@@ -419,35 +421,24 @@ func (s *Store) ImportFrames(data []byte) (ImportStats, error) {
 		}
 		payload, err := trace.EncodeStoreRecord(rec)
 		if err != nil {
-			// scanSegment only yields records that decode+validate, so
+			// the scan only yields records that decode+validate, so
 			// re-encoding cannot fail; guard anyway and skip.
 			st.Dropped = true
 			continue
 		}
-		frame, err := Frame(payload)
-		if err != nil {
-			st.Dropped = true
-			continue
-		}
-		log.Write(frame)
+		payloads = append(payloads, payload)
 		fresh = append(fresh, rec)
 	}
 	if len(fresh) == 0 {
 		return st, nil
 	}
-	if _, err := s.f.Write(log.Bytes()); err != nil {
-		return st, fmt.Errorf("store: import append: %w", err)
-	}
-	if !s.opt.NoSync {
-		if err := s.f.Sync(); err != nil {
-			return st, fmt.Errorf("store: import sync: %w", err)
-		}
+	if _, err := s.log.Append(payloads...); err != nil {
+		return st, fmt.Errorf("store: import: %w", err)
 	}
 	for _, rec := range fresh {
 		s.index[rec.Fingerprint] = rec
 		s.vleaf.add(rec.Fingerprint)
 	}
-	s.bytes += int64(log.Len())
 	st.Imported = len(fresh)
 	return st, nil
 }

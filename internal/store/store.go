@@ -5,14 +5,14 @@
 // static, so a decided verdict is a write-once artifact — persisting
 // it turns every future restart's cold search into a log replay.
 //
-// On disk the store is a single append-only segment log
-// (<dir>/store.log) of JSON records in segment framing (see
-// segment.go). Open replays the log into an in-memory index
-// (fingerprint → record, last write wins), truncates any torn or
-// corrupt tail to the clean prefix, and positions the write handle at
-// the end; Put appends one framed record and fsyncs. Compaction
-// rewrites the live index to a temporary file and atomically renames
-// it over the log, so readers of the directory never observe a
+// On disk the store is two append-only logs of JSON records in
+// segment framing: store.log holds verdicts, memo.log (memo.go) the
+// refutation cache. Both are a Log (segment.go), the one type that
+// owns the crash contract, which the async queue's journal shares.
+// Open replays store.log into an in-memory index (fingerprint →
+// record, last write wins); Put appends one framed record and fsyncs;
+// Compact rewrites the live index through the Log's temporary file and
+// atomic rename, so readers of the directory never observe a
 // half-written log.
 //
 // Durability invariants:
@@ -31,7 +31,6 @@
 package store
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -55,8 +54,8 @@ type Options struct {
 	// for tests and benchmarks; a crash may then lose recently
 	// appended records (but never corrupt the recovered prefix).
 	NoSync bool
-	// MemoSigCap bounds the signatures kept per memo class (0 =
-	// DefaultMemoSigCap; negative = uncapped). Truncation keeps the
+	// MemoSigCap bounds the signatures kept per memo class (zero or
+	// negative = DefaultMemoSigCap). Truncation keeps the
 	// byte-wise largest signatures — the deepest refuted subtrees —
 	// and is order-independent, so replicas converge.
 	MemoSigCap int
@@ -69,19 +68,17 @@ type Store struct {
 	opt Options
 
 	mu      sync.Mutex
-	f       *os.File           // active log, positioned at the clean end
+	log     *Log               // store.log
 	index   map[string]*Record // fingerprint → latest record
-	bytes   int64              // clean log length
 	corrupt int64              // discard events observed while scanning
 	closed  bool
 
 	// Memo tier (memo.go): the refutation-cache log, kept as a second
 	// segment file so a memo record can never masquerade as a verdict.
-	memoF    *os.File
+	memoLog  *Log
 	memo     map[string]*MemoRecord // memo key → record
 	fpKey    map[string]string      // fingerprint → memo key
 	frameLen map[string]int64       // memo key → live frame bytes
-	memoB    int64                  // clean memo log length
 	memoLive int64                  // framed bytes of the live memo index
 
 	// Merkle leaf state (merkle.go): each tier's keys partitioned by
@@ -92,53 +89,51 @@ type Store struct {
 }
 
 // Open opens (creating if necessary) the store rooted at dir,
-// replaying the segment log into the index and truncating any torn or
+// replaying both logs into the index and truncating any torn or
 // corrupt tail to the clean prefix.
 func Open(dir string, opt Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	path := filepath.Join(dir, logName)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+	s := &Store{
+		dir: dir, opt: opt, index: make(map[string]*Record),
+		memo: make(map[string]*MemoRecord), fpKey: make(map[string]string), frameLen: make(map[string]int64),
 	}
-	s := &Store{dir: dir, opt: opt, f: f, index: make(map[string]*Record)}
 	s.vleaf = &leafSet{write: func(h io.Writer, fp string) { io.WriteString(h, fp) }}
 	s.mleaf = &leafSet{write: func(h io.Writer, key string) { writeMemoRecordDigest(h, s.memo[key]) }}
-	valid, dropped, err := scanSegment(bufio.NewReader(f), func(r *Record) error {
+	var dropped bool
+	var err error
+	s.log, dropped, err = OpenLog(filepath.Join(dir, logName), opt.NoSync, func(payload []byte, _ int64) error {
+		r, err := trace.DecodeStoreRecord(payload)
+		if err != nil {
+			return err
+		}
 		s.index[r.Fingerprint] = r
 		s.vleaf.add(r.Fingerprint)
 		return nil
 	})
 	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: replaying %s: %w", path, err)
+		return nil, fmt.Errorf("store: %w", err)
 	}
 	if dropped {
 		s.corrupt++
 	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	if fi.Size() != valid {
-		// torn-tail recovery: drop the damaged suffix so future
-		// appends extend a well-framed log
-		if err := f.Truncate(valid); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("store: truncating torn tail: %w", err)
+	s.memoLog, dropped, err = OpenLog(filepath.Join(dir, memoLogName), opt.NoSync, func(payload []byte, n int64) error {
+		r, err := trace.DecodeMemoRecord(payload)
+		if err != nil {
+			return err
 		}
-	}
-	if _, err := f.Seek(valid, io.SeekStart); err != nil {
-		f.Close()
+		// last write wins: appends for a key are cumulative merges,
+		// so the latest record supersedes the earlier ones
+		s.indexMemoLocked(r, n)
+		return nil
+	})
+	if err != nil {
+		s.log.Close()
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s.bytes = valid
-	if err := s.openMemoLog(); err != nil {
-		f.Close()
-		return nil, err
+	if dropped {
+		s.corrupt++
 	}
 	return s, nil
 }
@@ -165,10 +160,6 @@ func (s *Store) Put(rec *Record) error {
 	if err != nil {
 		return err
 	}
-	buf, err := Frame(payload)
-	if err != nil {
-		return err
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -177,19 +168,13 @@ func (s *Store) Put(rec *Record) error {
 	if old, ok := s.index[rec.Fingerprint]; ok && sameRecord(old, rec) {
 		return nil
 	}
-	if _, err := s.f.Write(buf); err != nil {
-		return fmt.Errorf("store: append: %w", err)
-	}
-	if !s.opt.NoSync {
-		if err := s.f.Sync(); err != nil {
-			return fmt.Errorf("store: sync: %w", err)
-		}
+	if _, err := s.log.Append(payload); err != nil {
+		return fmt.Errorf("store: %w", err)
 	}
 	cp := *rec
 	cp.Slots = append([]int(nil), rec.Slots...)
 	s.index[rec.Fingerprint] = &cp
 	s.vleaf.add(rec.Fingerprint)
-	s.bytes += int64(len(buf))
 	return nil
 }
 
@@ -219,75 +204,31 @@ func (s *Store) Drop(fp string) {
 	s.vleaf.remove(fp)
 }
 
-// Compact rewrites the log to exactly the live index (one record per
-// fingerprint, sorted) via a temporary file and an atomic rename, so
-// a crash during compaction leaves either the old or the new log,
-// never a mixture.
+// Compact rewrites both logs to exactly the live index (one record per
+// fingerprint or memo class, sorted) through Log.Rewrite, so a crash
+// during compaction leaves either the old or the new log, never a
+// mixture.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("store: closed")
 	}
-	path := filepath.Join(s.dir, logName)
-	tmp := path + ".tmp"
-	tf, err := os.Create(tmp)
+	err := s.log.Rewrite(func(put func([]byte) error) error {
+		for _, fp := range sortedKeys(s.index) {
+			payload, err := trace.EncodeStoreRecord(s.index[fp])
+			if err != nil {
+				return err
+			}
+			if err := put(payload); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return fmt.Errorf("store: compact: %w", err)
 	}
-	w := bufio.NewWriter(tf)
-	var size int64
-	for _, fp := range sortedKeys(s.index) {
-		payload, err := trace.EncodeStoreRecord(s.index[fp])
-		if err != nil {
-			tf.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("store: compact: %w", err)
-		}
-		buf, err := Frame(payload)
-		if err != nil {
-			tf.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("store: compact: %w", err)
-		}
-		if _, err := w.Write(buf); err != nil {
-			tf.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("store: compact: %w", err)
-		}
-		size += int64(len(buf))
-	}
-	if err := w.Flush(); err != nil {
-		tf.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	if err := tf.Sync(); err != nil {
-		tf.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	if err := tf.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	syncDir(s.dir)
-	// the old handle points at the replaced inode; swing to the new log
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: compact: reopening: %w", err)
-	}
-	if _, err := f.Seek(size, io.SeekStart); err != nil {
-		f.Close()
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	s.f.Close()
-	s.f = f
-	s.bytes = size
 	return s.compactMemoLocked()
 }
 
@@ -299,18 +240,9 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	var err error
-	if !s.opt.NoSync {
-		err = s.f.Sync()
-		if merr := s.memoF.Sync(); err == nil {
-			err = merr
-		}
-	}
-	if cerr := s.f.Close(); err == nil {
-		err = cerr
-	}
-	if cerr := s.memoF.Close(); err == nil {
-		err = cerr
+	err := s.log.Close()
+	if merr := s.memoLog.Close(); err == nil {
+		err = merr
 	}
 	return err
 }
@@ -326,7 +258,7 @@ func (s *Store) Len() int {
 func (s *Store) Bytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.bytes
+	return s.log.Size()
 }
 
 // CorruptSkipped returns how many torn-or-corrupt-tail discard events
@@ -347,20 +279,11 @@ func (s *Store) Fingerprints() []string {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-func sortedKeys(m map[string]*Record) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)
 	}
 	sort.Strings(out)
 	return out
-}
-
-// syncDir fsyncs a directory so a just-renamed file survives a crash;
-// best-effort on filesystems that refuse directory syncs.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
 }

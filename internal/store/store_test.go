@@ -300,7 +300,7 @@ func TestScanSegmentCallbackError(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantErr := fmt.Errorf("sentinel")
-	_, _, err = scanSegment(bytes.NewReader(buf), func(*Record) error { return wantErr })
+	_, _, err = ScanFrames(bytes.NewReader(buf), func([]byte) error { return wantErr })
 	if err != wantErr {
 		t.Fatalf("err = %v, want sentinel", err)
 	}
