@@ -40,15 +40,22 @@ fuzz:
 # (no-panic-on-any-bytes), the memo segment reader and import path,
 # the pruned-vs-seed differential oracle of the exact search, the
 # analytic tier's verdict-vs-oracle soundness check, and the queue
-# journal's record reader and replay state machine.
+# journal's record reader and replay state machine. A worker that
+# finds a new interesting input minimizes it before it fuzzes on, for
+# up to -fuzzminimizetime (60 s by default, longer than a pass), and
+# minimizing a multi-kilobyte input is quadratic; the cap
+# keeps every pass fuzzing. It shortens no check: every exec still
+# runs every property.
+FUZZSHORT = -run xxx -fuzztime 20s -fuzzminimizetime 2s
+
 fuzz-short:
-	$(GO) test -run xxx -fuzz FuzzParse -fuzztime 20s ./internal/spec/
-	$(GO) test -run xxx -fuzz FuzzFingerprint -fuzztime 20s ./internal/spec/
-	$(GO) test -run xxx -fuzz FuzzStoreDecode -fuzztime 20s ./internal/store/
-	$(GO) test -run xxx -fuzz FuzzMemoSegmentDecode -fuzztime 20s ./internal/store/
-	$(GO) test -run xxx -fuzz FuzzExactPruned -fuzztime 20s ./internal/exact/
-	$(GO) test -run xxx -fuzz FuzzAnalysisSound -fuzztime 20s ./internal/analysis/
-	$(GO) test -run xxx -fuzz FuzzQueueDecode -fuzztime 20s ./internal/queue/
+	$(GO) test $(FUZZSHORT) -fuzz FuzzParse ./internal/spec/
+	$(GO) test $(FUZZSHORT) -fuzz FuzzFingerprint ./internal/spec/
+	$(GO) test $(FUZZSHORT) -fuzz FuzzStoreDecode ./internal/store/
+	$(GO) test $(FUZZSHORT) -fuzz FuzzMemoSegmentDecode ./internal/store/
+	$(GO) test $(FUZZSHORT) -fuzz FuzzExactPruned ./internal/exact/
+	$(GO) test $(FUZZSHORT) -fuzz FuzzAnalysisSound ./internal/analysis/
+	$(GO) test $(FUZZSHORT) -fuzz FuzzQueueDecode ./internal/queue/
 
 # The CI gate: vet, the full suite under the race detector, the short
 # fuzz pass, and the serving benchmark's own vet, tests and smoke runs.

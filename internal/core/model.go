@@ -90,7 +90,8 @@ func (c *CommGraph) Clone() *CommGraph {
 // (The communication graph itself may be cyclic — e.g. the feedback
 // path through f_K in the paper's example.)
 func (c *CommGraph) Validate() error {
-	for _, n := range c.G.Nodes() {
+	for i := range c.G.NumNodes() {
+		n := c.G.NodeAt(i)
 		w, ok := c.Weight[n]
 		if !ok {
 			return fmt.Errorf("core: element %q has no weight", n)
@@ -164,8 +165,8 @@ func (t *TaskGraph) ElementOf(n string) string { return t.Elem[n] }
 // of a timing constraint).
 func (t *TaskGraph) ComputationTime(c *CommGraph) int {
 	total := 0
-	for _, n := range t.G.Nodes() {
-		total += c.WeightOf(t.Elem[n])
+	for i := range t.G.NumNodes() {
+		total += c.WeightOf(t.Elem[t.G.NodeAt(i)])
 	}
 	return total
 }
@@ -182,7 +183,8 @@ func (t *TaskGraph) Clone() *TaskGraph {
 
 // Validate checks that the task graph is acyclic and compatible with
 // the communication graph: every node maps to an element of c and
-// every edge maps to a communication path of c.
+// every edge maps to a communication path of c. A valid task graph of
+// up to 32 nodes is checked without allocating.
 func (t *TaskGraph) Validate(c *CommGraph) error {
 	if !t.G.IsAcyclic() {
 		return fmt.Errorf("core: task graph is cyclic: %v", t.G.FindCycle())

@@ -313,3 +313,30 @@ func TestLcmGcd(t *testing.T) {
 		t.Fatal("gcd wrong")
 	}
 }
+
+// TestValidateAllocFree pins the served path's validation cost: a
+// request's model is validated twice (in spec.Parse and again in the
+// service), so a valid model must pass Model.Validate, and each task
+// graph TaskGraph.Validate, without allocating.
+func TestValidateAllocFree(t *testing.T) {
+	if testing.CoverMode() != "" {
+		t.Skip("coverage instrumentation changes allocation counts")
+	}
+	m := ExampleSystem(DefaultExampleParams())
+	if n := testing.AllocsPerRun(100, func() {
+		if err := m.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Model.Validate: %.0f allocs, want 0", n)
+	}
+	for _, c := range m.Constraints {
+		if n := testing.AllocsPerRun(100, func() {
+			if err := c.Task.Validate(m.Comm); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("constraint %s: TaskGraph.Validate: %.0f allocs, want 0", c.Name, n)
+		}
+	}
+}

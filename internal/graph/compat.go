@@ -10,9 +10,10 @@ type Homomorphism map[string]string
 
 // CheckHomomorphism verifies that h is a homomorphism from src into
 // dst: every source node must be mapped to an existing target node
-// and every source edge must map to a target edge.
+// and every source edge must map to a target edge. It reads both
+// graphs in place and allocates only for the error it returns.
 func CheckHomomorphism(src, dst *Digraph, h Homomorphism) error {
-	for _, n := range src.Nodes() {
+	for _, n := range src.nodes {
 		img, ok := h[n]
 		if !ok {
 			return fmt.Errorf("graph: node %q has no image under h", n)
@@ -21,11 +22,14 @@ func CheckHomomorphism(src, dst *Digraph, h Homomorphism) error {
 			return fmt.Errorf("graph: image %q of node %q is not a node of the target", img, n)
 		}
 	}
-	for _, e := range src.Edges() {
-		fu, fv := h[e.From], h[e.To]
-		if !dst.HasEdge(fu, fv) {
-			return fmt.Errorf("graph: edge %s->%s maps to %s->%s which is not an edge of the target",
-				e.From, e.To, fu, fv)
+	for u, a := range src.adj {
+		for _, v := range a.succ {
+			from, to := src.nodes[u], src.nodes[v]
+			fu, fv := h[from], h[to]
+			if !dst.HasEdge(fu, fv) {
+				return fmt.Errorf("graph: edge %s->%s maps to %s->%s which is not an edge of the target",
+					from, to, fu, fv)
+			}
 		}
 	}
 	return nil

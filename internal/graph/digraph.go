@@ -13,24 +13,25 @@ import (
 	"sort"
 )
 
-// Digraph is a directed graph over string-named nodes.
-// The zero value is not usable; call New.
+// Digraph is a directed graph over string-named nodes. Internally a
+// node is its position in insertion order, and adjacency is kept by
+// position; index-based callers read it through Index, NodeAt, SuccAt
+// and PredAt. The zero value is not usable; call New.
 type Digraph struct {
-	nodes   []string            // insertion order
-	index   map[string]int      // name -> position in nodes
-	succ    map[string][]string // adjacency: out-edges, insertion order
-	pred    map[string][]string // reverse adjacency
-	edgeSet map[[2]string]bool
+	nodes   []string       // insertion order
+	index   map[string]int // name -> position in nodes
+	adj     []adjacency    // per position
+	edgeSet map[[2]int]struct{}
+}
+
+// adjacency holds one node's neighbour positions, in insertion order.
+type adjacency struct {
+	succ, pred []int
 }
 
 // New returns an empty digraph.
 func New() *Digraph {
-	return &Digraph{
-		index:   make(map[string]int),
-		succ:    make(map[string][]string),
-		pred:    make(map[string][]string),
-		edgeSet: make(map[[2]string]bool),
-	}
+	return &Digraph{index: make(map[string]int)}
 }
 
 // AddNode inserts a node if not already present. It reports whether
@@ -41,6 +42,7 @@ func (g *Digraph) AddNode(name string) bool {
 	}
 	g.index[name] = len(g.nodes)
 	g.nodes = append(g.nodes, name)
+	g.adj = append(g.adj, adjacency{})
 	return true
 }
 
@@ -50,41 +52,75 @@ func (g *Digraph) HasNode(name string) bool {
 	return ok
 }
 
+// Index returns the position of node name in insertion order, or -1
+// if name is not a node of g.
+func (g *Digraph) Index(name string) int {
+	if i, ok := g.index[name]; ok {
+		return i
+	}
+	return -1
+}
+
+// NodeAt returns the node at position i of insertion order.
+func (g *Digraph) NodeAt(i int) string { return g.nodes[i] }
+
+// SuccAt returns the positions of the successors of the node at
+// position i, in insertion order. The slice is g's own: callers must
+// not modify it, and it is valid until g next changes.
+func (g *Digraph) SuccAt(i int) []int { return g.adj[i].succ }
+
+// PredAt returns the positions of the predecessors of the node at
+// position i, in insertion order, under SuccAt's terms.
+func (g *Digraph) PredAt(i int) []int { return g.adj[i].pred }
+
 // AddEdge inserts a directed edge from u to v, adding the endpoints
 // if necessary. Parallel edges are collapsed. It reports whether the
 // edge was newly added.
 func (g *Digraph) AddEdge(u, v string) bool {
 	g.AddNode(u)
 	g.AddNode(v)
-	key := [2]string{u, v}
-	if g.edgeSet[key] {
+	ui, vi := g.index[u], g.index[v]
+	key := [2]int{ui, vi}
+	if _, ok := g.edgeSet[key]; ok {
 		return false
 	}
-	g.edgeSet[key] = true
-	g.succ[u] = append(g.succ[u], v)
-	g.pred[v] = append(g.pred[v], u)
+	if g.edgeSet == nil {
+		g.edgeSet = make(map[[2]int]struct{})
+	}
+	g.edgeSet[key] = struct{}{}
+	g.adj[ui].succ = append(g.adj[ui].succ, vi)
+	g.adj[vi].pred = append(g.adj[vi].pred, ui)
 	return true
 }
 
 // HasEdge reports whether the edge (u,v) exists.
 func (g *Digraph) HasEdge(u, v string) bool {
-	return g.edgeSet[[2]string{u, v}]
+	ui, ok := g.index[u]
+	if !ok {
+		return false
+	}
+	vi, ok := g.index[v]
+	if !ok {
+		return false
+	}
+	_, ok = g.edgeSet[[2]int{ui, vi}]
+	return ok
 }
 
 // RemoveEdge deletes the edge (u,v) if present and reports whether it
 // existed.
 func (g *Digraph) RemoveEdge(u, v string) bool {
-	key := [2]string{u, v}
-	if !g.edgeSet[key] {
+	if !g.HasEdge(u, v) {
 		return false
 	}
-	delete(g.edgeSet, key)
-	g.succ[u] = remove(g.succ[u], v)
-	g.pred[v] = remove(g.pred[v], u)
+	ui, vi := g.index[u], g.index[v]
+	delete(g.edgeSet, [2]int{ui, vi})
+	g.adj[ui].succ = remove(g.adj[ui].succ, vi)
+	g.adj[vi].pred = remove(g.adj[vi].pred, ui)
 	return true
 }
 
-func remove(s []string, x string) []string {
+func remove(s []int, x int) []int {
 	out := s[:0]
 	for _, v := range s {
 		if v != x {
@@ -108,25 +144,48 @@ func (g *Digraph) NumNodes() int { return len(g.nodes) }
 // NumEdges returns the edge count.
 func (g *Digraph) NumEdges() int { return len(g.edgeSet) }
 
+// names returns the node names at the given positions.
+func (g *Digraph) names(pos []int) []string {
+	out := make([]string, len(pos))
+	for i, p := range pos {
+		out[i] = g.nodes[p]
+	}
+	return out
+}
+
 // Succ returns the successors of u in insertion order.
 func (g *Digraph) Succ(u string) []string {
-	out := make([]string, len(g.succ[u]))
-	copy(out, g.succ[u])
-	return out
+	i, ok := g.index[u]
+	if !ok {
+		return []string{}
+	}
+	return g.names(g.adj[i].succ)
 }
 
 // Pred returns the predecessors of u in insertion order.
 func (g *Digraph) Pred(u string) []string {
-	out := make([]string, len(g.pred[u]))
-	copy(out, g.pred[u])
-	return out
+	i, ok := g.index[u]
+	if !ok {
+		return []string{}
+	}
+	return g.names(g.adj[i].pred)
 }
 
 // OutDegree returns the number of out-edges of u.
-func (g *Digraph) OutDegree(u string) int { return len(g.succ[u]) }
+func (g *Digraph) OutDegree(u string) int {
+	if i, ok := g.index[u]; ok {
+		return len(g.adj[i].succ)
+	}
+	return 0
+}
 
 // InDegree returns the number of in-edges of u.
-func (g *Digraph) InDegree(u string) int { return len(g.pred[u]) }
+func (g *Digraph) InDegree(u string) int {
+	if i, ok := g.index[u]; ok {
+		return len(g.adj[i].pred)
+	}
+	return 0
+}
 
 // Edge is a directed edge.
 type Edge struct{ From, To string }
@@ -135,9 +194,9 @@ type Edge struct{ From, To string }
 // target insertion order within a source.
 func (g *Digraph) Edges() []Edge {
 	var out []Edge
-	for _, u := range g.nodes {
-		for _, v := range g.succ[u] {
-			out = append(out, Edge{u, v})
+	for u, a := range g.adj {
+		for _, v := range a.succ {
+			out = append(out, Edge{g.nodes[u], g.nodes[v]})
 		}
 	}
 	return out
@@ -189,9 +248,11 @@ func (g *Digraph) Equal(h *Digraph) bool {
 			return false
 		}
 	}
-	for e := range g.edgeSet {
-		if !h.edgeSet[e] {
-			return false
+	for u, a := range g.adj {
+		for _, v := range a.succ {
+			if !h.HasEdge(g.nodes[u], g.nodes[v]) {
+				return false
+			}
 		}
 	}
 	return true

@@ -449,3 +449,51 @@ func TestStringDeterministic(t *testing.T) {
 		t.Fatalf("String = %s", g.String())
 	}
 }
+
+// TestPositionalViews pins the index-based reading of a graph against
+// its name-based one: TopoOrder is TopoSort by position, and SuccAt /
+// PredAt are Succ / Pred by position, on random DAGs, and a reversed
+// edge is reported as a cycle.
+func TestPositionalViews(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 50; trial++ {
+		g := RandomDAG(rng, "n", 1+rng.Intn(40), rng.Float64())
+		want, err := g.TopoSort()
+		if err != nil {
+			t.Fatal(err)
+		}
+		order, ok := g.TopoOrder([]int{-1})
+		if !ok || len(order) != 1+len(want) || order[0] != -1 {
+			t.Fatalf("TopoOrder = %v, %v for %d nodes", order, ok, len(want))
+		}
+		for k, p := range order[1:] {
+			if g.NodeAt(p) != want[k] || g.Index(want[k]) != p {
+				t.Fatalf("position %d: TopoOrder has %s, TopoSort %s", k, g.NodeAt(p), want[k])
+			}
+		}
+		for i := range g.NumNodes() {
+			for _, c := range []struct {
+				pos   []int
+				names []string
+			}{{g.SuccAt(i), g.Succ(g.NodeAt(i))}, {g.PredAt(i), g.Pred(g.NodeAt(i))}} {
+				if len(c.pos) != len(c.names) {
+					t.Fatalf("node %s: %v vs %v", g.NodeAt(i), c.pos, c.names)
+				}
+				for k, p := range c.pos {
+					if g.NodeAt(p) != c.names[k] {
+						t.Fatalf("node %s: %v vs %v", g.NodeAt(i), c.pos, c.names)
+					}
+				}
+			}
+		}
+		if edges := g.Edges(); len(edges) > 0 {
+			g.AddEdge(edges[0].To, edges[0].From)
+			if got, ok := g.TopoOrder(nil); ok || len(got) != 0 || g.IsAcyclic() {
+				t.Fatalf("cycle not reported: %v, %v", got, ok)
+			}
+		}
+	}
+	if g := New(); g.Index("x") != -1 {
+		t.Fatal("Index of a missing node")
+	}
+}

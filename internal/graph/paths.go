@@ -14,7 +14,8 @@ func (g *Digraph) Reachable(u, v string) bool {
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, m := range g.succ[n] {
+		for _, mi := range g.adj[g.index[n]].succ {
+			m := g.nodes[mi]
 			if m == v {
 				return true
 			}
@@ -40,7 +41,8 @@ func (g *Digraph) ReachableSet(u string) []string {
 		n := queue[0]
 		queue = queue[1:]
 		out = append(out, n)
-		for _, m := range g.succ[n] {
+		for _, mi := range g.adj[g.index[n]].succ {
+			m := g.nodes[mi]
 			if !seen[m] {
 				seen[m] = true
 				queue = append(queue, m)
@@ -64,7 +66,8 @@ func (g *Digraph) ShortestPath(u, v string) []string {
 	for len(queue) > 0 {
 		n := queue[0]
 		queue = queue[1:]
-		for _, m := range g.succ[n] {
+		for _, mi := range g.adj[g.index[n]].succ {
+			m := g.nodes[mi]
 			if _, ok := parent[m]; ok {
 				continue
 			}
@@ -119,7 +122,8 @@ func (g *Digraph) TransitiveReduction() (*Digraph, error) {
 	for _, e := range g.Edges() {
 		// keep (u,v) unless some other successor w of u reaches v
 		redundant := false
-		for _, w := range g.succ[e.From] {
+		for _, wi := range g.adj[g.index[e.From]].succ {
+			w := g.nodes[wi]
 			if w != e.To && g.Reachable(w, e.To) {
 				redundant = true
 				break
@@ -153,13 +157,15 @@ func (g *Digraph) WeaklyConnectedComponents() [][]string {
 			n := queue[0]
 			queue = queue[1:]
 			members = append(members, n)
-			for _, m := range g.succ[n] {
+			for _, mi := range g.adj[g.index[n]].succ {
+				m := g.nodes[mi]
 				if comp[m] == -1 {
 					comp[m] = id
 					queue = append(queue, m)
 				}
 			}
-			for _, m := range g.pred[n] {
+			for _, mi := range g.adj[g.index[n]].pred {
+				m := g.nodes[mi]
 				if comp[m] == -1 {
 					comp[m] = id
 					queue = append(queue, m)
@@ -183,7 +189,7 @@ func (g *Digraph) IsChain() bool {
 		return false
 	}
 	for _, n := range g.nodes {
-		if len(g.succ[n]) > 1 || len(g.pred[n]) > 1 {
+		if len(g.adj[g.index[n]].succ) > 1 || len(g.adj[g.index[n]].pred) > 1 {
 			return false
 		}
 	}

@@ -21,7 +21,8 @@ func (g *Digraph) StronglyConnectedComponents() [][]string {
 		next++
 		stack = append(stack, v)
 		onStack[v] = true
-		for _, w := range g.succ[v] {
+		for _, wi := range g.adj[g.index[v]].succ {
+			w := g.nodes[wi]
 			if _, seen := index[w]; !seen {
 				strongconnect(w)
 				if low[w] < low[v] {
@@ -113,7 +114,8 @@ func (g *Digraph) CriticalPath(weight map[string]int) ([]string, int, error) {
 			endWeight = w
 			endNode = u
 		}
-		for _, v := range g.succ[u] {
+		for _, vi := range g.adj[g.index[u]].succ {
+			v := g.nodes[vi]
 			if w > best[v] {
 				best[v] = w
 				prev[v] = u

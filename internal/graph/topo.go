@@ -13,40 +13,72 @@ var ErrCycle = errors.New("graph: cycle detected")
 // so the result is deterministic. It returns ErrCycle (wrapped with a
 // witness) if the graph has a cycle.
 func (g *Digraph) TopoSort() ([]string, error) {
-	indeg := make(map[string]int, len(g.nodes))
-	for _, n := range g.nodes {
-		indeg[n] = len(g.pred[n])
-	}
-	// ready queue kept in insertion order
-	var ready []string
-	for _, n := range g.nodes {
-		if indeg[n] == 0 {
-			ready = append(ready, n)
-		}
-	}
-	out := make([]string, 0, len(g.nodes))
-	for len(ready) > 0 {
-		n := ready[0]
-		ready = ready[1:]
-		out = append(out, n)
-		for _, m := range g.succ[n] {
-			indeg[m]--
-			if indeg[m] == 0 {
-				ready = append(ready, m)
-			}
-		}
-	}
-	if len(out) != len(g.nodes) {
+	n := len(g.nodes)
+	pos := make([]int, 2*n)
+	if !g.kahn(pos[:n], pos[n:]) {
 		cyc := g.FindCycle()
 		return nil, fmt.Errorf("%w: %v", ErrCycle, cyc)
+	}
+	out := make([]string, n)
+	for i, p := range pos[:n] {
+		out[i] = g.nodes[p]
 	}
 	return out, nil
 }
 
-// IsAcyclic reports whether g has no directed cycle.
+// TopoOrder appends the node positions (see NodeAt) to dst in
+// TopoSort's order. It reports false, and returns dst unchanged, if g
+// is cyclic.
+func (g *Digraph) TopoOrder(dst []int) ([]int, bool) {
+	n := len(g.nodes)
+	var small [32]int
+	indeg := small[:]
+	if n > len(small) {
+		indeg = make([]int, n)
+	}
+	start := len(dst)
+	dst = append(dst, make([]int, n)...)
+	if !g.kahn(dst[start:], indeg[:n]) {
+		return dst[:start], false
+	}
+	return dst, true
+}
+
+// kahn runs Kahn's algorithm over node positions with a FIFO ready
+// queue seeded in insertion order, writing the order into order and
+// using indeg as scratch (both of length NumNodes). It reports whether
+// every node was ordered, that is, whether g is acyclic.
+func (g *Digraph) kahn(order, indeg []int) bool {
+	tail := 0
+	for i, a := range g.adj {
+		indeg[i] = len(a.pred)
+		if indeg[i] == 0 {
+			order[tail] = i
+			tail++
+		}
+	}
+	for head := 0; head < tail; head++ {
+		for _, j := range g.adj[order[head]].succ {
+			indeg[j]--
+			if indeg[j] == 0 {
+				order[tail] = j
+				tail++
+			}
+		}
+	}
+	return tail == len(g.nodes)
+}
+
+// IsAcyclic reports whether g has no directed cycle. It allocates
+// nothing for graphs of up to 32 nodes.
 func (g *Digraph) IsAcyclic() bool {
-	_, err := g.TopoSort()
-	return err == nil
+	n := len(g.nodes)
+	var small [64]int
+	buf := small[:]
+	if 2*n > len(small) {
+		buf = make([]int, 2*n)
+	}
+	return g.kahn(buf[:n], buf[n:2*n])
 }
 
 // FindCycle returns the nodes of some directed cycle in order, or nil
@@ -63,7 +95,8 @@ func (g *Digraph) FindCycle() []string {
 	var dfs func(u string) bool
 	dfs = func(u string) bool {
 		color[u] = gray
-		for _, v := range g.succ[u] {
+		for _, vi := range g.adj[g.index[u]].succ {
+			v := g.nodes[vi]
 			switch color[v] {
 			case white:
 				parent[v] = u
@@ -104,7 +137,7 @@ func (g *Digraph) AllTopoSorts(yield func([]string) bool) error {
 	}
 	indeg := make(map[string]int, len(g.nodes))
 	for _, n := range g.nodes {
-		indeg[n] = len(g.pred[n])
+		indeg[n] = len(g.adj[g.index[n]].pred)
 	}
 	order := make([]string, 0, len(g.nodes))
 	used := make(map[string]bool, len(g.nodes))
@@ -126,11 +159,13 @@ func (g *Digraph) AllTopoSorts(yield func([]string) bool) error {
 			}
 			used[n] = true
 			order = append(order, n)
-			for _, m := range g.succ[n] {
+			for _, mi := range g.adj[g.index[n]].succ {
+				m := g.nodes[mi]
 				indeg[m]--
 			}
 			rec()
-			for _, m := range g.succ[n] {
+			for _, mi := range g.adj[g.index[n]].succ {
+				m := g.nodes[mi]
 				indeg[m]++
 			}
 			order = order[:len(order)-1]
@@ -148,9 +183,9 @@ func (g *Digraph) AllTopoSorts(yield func([]string) bool) error {
 // order.
 func (g *Digraph) Sources() []string {
 	var out []string
-	for _, n := range g.nodes {
-		if len(g.pred[n]) == 0 {
-			out = append(out, n)
+	for i, a := range g.adj {
+		if len(a.pred) == 0 {
+			out = append(out, g.nodes[i])
 		}
 	}
 	return out
@@ -159,9 +194,9 @@ func (g *Digraph) Sources() []string {
 // Sinks returns the nodes with no outgoing edges, in insertion order.
 func (g *Digraph) Sinks() []string {
 	var out []string
-	for _, n := range g.nodes {
-		if len(g.succ[n]) == 0 {
-			out = append(out, n)
+	for i, a := range g.adj {
+		if len(a.succ) == 0 {
+			out = append(out, g.nodes[i])
 		}
 	}
 	return out
@@ -177,7 +212,8 @@ func (g *Digraph) LongestPathLen() (int, error) {
 	dist := make(map[string]int, len(order))
 	best := 0
 	for _, u := range order {
-		for _, v := range g.succ[u] {
+		for _, vi := range g.adj[g.index[u]].succ {
+			v := g.nodes[vi]
 			if dist[u]+1 > dist[v] {
 				dist[v] = dist[u] + 1
 				if dist[v] > best {

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"rtm/internal/core"
@@ -10,13 +11,23 @@ import (
 	"rtm/internal/workload"
 )
 
-// agreesWithReference asserts that a Checker gives the same answers
-// as the one-shot Check/AnalyzerFor path on one candidate schedule.
+// agreesWithReference asserts that Check and the Checker both give
+// the vendored reference Analyzer's answers (refCheck) on one
+// candidate schedule: Check its whole Report, the Checker its
+// feasibility verdict, every per-constraint worst-case latency and
+// contiguity. Pass a nil Checker for models it cannot take (cyclic
+// task graphs).
 func agreesWithReference(t *testing.T, label string, m *core.Model, ck *Checker, s *Schedule) {
 	t.Helper()
-	wantRep := Check(m, s)
+	wantRep := refCheck(m, s)
+	if got := Check(m, s); !reflect.DeepEqual(got, wantRep) {
+		t.Fatalf("%s: Check =\n%v\nreference =\n%v\nschedule %v", label, got, wantRep, s.Slots)
+	}
+	if ck == nil {
+		return
+	}
 	if got := ck.Feasible(s); got != wantRep.Feasible {
-		t.Fatalf("%s: Feasible = %v, Check = %v\nschedule %v", label, got, wantRep.Feasible, s.Slots)
+		t.Fatalf("%s: Feasible = %v, reference = %v\nschedule %v", label, got, wantRep.Feasible, s.Slots)
 	}
 	want := analyzerWorst(m, s)
 	got := ck.Worsts(s)
@@ -25,7 +36,7 @@ func agreesWithReference(t *testing.T, label string, m *core.Model, ck *Checker,
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("%s: constraint %d worst = %d, analyzer = %d\nschedule %v",
+			t.Fatalf("%s: constraint %d worst = %d, reference = %d\nschedule %v",
 				label, i, got[i], want[i], s.Slots)
 		}
 	}
@@ -115,6 +126,68 @@ func TestCheckerPropertyDAGTasks(t *testing.T) {
 		for round := 0; round < 40; round++ {
 			s := randomScheduleOver(rng, m, 1+rng.Intn(10))
 			agreesWithReference(t, fmt.Sprintf("dag trial %d round %d", trial, round), m, ck, s)
+		}
+	}
+}
+
+// TestCheckAgreesOnEdgeCases drives the differential oracle through
+// the models a validated spec never produces but Check still answers:
+// zero-weight elements, task nodes and schedule slots naming elements
+// outside the communication graph, elements repeated within one task,
+// cyclic task graphs, and the empty schedule.
+func TestCheckAgreesOnEdgeCases(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	trials := 300
+	if testing.Short() {
+		trials = 80
+	}
+	for trial := 0; trial < trials; trial++ {
+		m := core.NewModel()
+		ne := 1 + rng.Intn(4)
+		elems := make([]string, ne)
+		for i := range elems {
+			elems[i] = fmt.Sprintf("e%d", i)
+			m.Comm.AddElement(elems[i], rng.Intn(3)) // weight 0 included
+		}
+		pool := append([]string{"ghost"}, elems...) // ghost is not an element
+		cyclic := false
+		for ci, nc := 0, 1+rng.Intn(3); ci < nc; ci++ {
+			task := core.NewTaskGraph()
+			nn := 1 + rng.Intn(4)
+			for k := 0; k < nn; k++ {
+				task.AddStep(fmt.Sprintf("n%d", k), pool[rng.Intn(len(pool))])
+			}
+			for k := 1; k < nn; k++ {
+				if rng.Intn(2) == 0 {
+					task.AddPrec(fmt.Sprintf("n%d", rng.Intn(k)), fmt.Sprintf("n%d", k))
+				}
+			}
+			if nn > 1 && rng.Intn(8) == 0 {
+				task.AddPrec(fmt.Sprintf("n%d", nn-1), "n0")
+				cyclic = true
+			}
+			kind := core.Periodic
+			if rng.Intn(2) == 0 {
+				kind = core.Asynchronous
+			}
+			p := 1 + rng.Intn(12)
+			m.AddConstraint(&core.Constraint{
+				Name: fmt.Sprintf("c%d", ci), Task: task,
+				Period: p, Deadline: 1 + rng.Intn(12), Kind: kind,
+			})
+		}
+		var ck *Checker
+		if !cyclic {
+			ck = MustChecker(m)
+		}
+		for round := 0; round < 10; round++ {
+			slots := make([]string, rng.Intn(9)) // length 0 included
+			for i := range slots {
+				if x := rng.Intn(len(pool) + 1); x < len(pool) {
+					slots[i] = pool[x]
+				}
+			}
+			agreesWithReference(t, fmt.Sprintf("edge trial %d round %d", trial, round), m, ck, &Schedule{Slots: slots})
 		}
 	}
 }

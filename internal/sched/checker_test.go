@@ -78,9 +78,9 @@ func randomScheduleOver(rng *rand.Rand, m *core.Model, n int) *Schedule {
 }
 
 // analyzerWorst is the reference per-constraint worst via the
-// one-shot Analyzer path.
+// vendored reference Analyzer.
 func analyzerWorst(m *core.Model, s *Schedule) []int {
-	a := AnalyzerFor(m, s)
+	a := refAnalyzerFor(m, s)
 	out := make([]int, 0, len(m.Constraints))
 	for _, c := range m.Constraints {
 		switch c.Kind {
@@ -103,25 +103,7 @@ func TestCheckerMatchesAnalyzer(t *testing.T) {
 		for trial := 0; trial < 300; trial++ {
 			n := 1 + rng.Intn(8)
 			s := randomScheduleOver(rng, m, n)
-			label := fmt.Sprintf("model %d trial %d schedule %v", mi, trial, s)
-
-			wantRep := Check(m, s)
-			if got := ck.Feasible(s); got != wantRep.Feasible {
-				t.Fatalf("%s: Feasible = %v, Check = %v", label, got, wantRep.Feasible)
-			}
-			want := analyzerWorst(m, s)
-			got := ck.Worsts(s)
-			if len(got) != len(want) {
-				t.Fatalf("%s: worsts length %d != %d", label, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s: constraint %d worst = %d, analyzer = %d", label, i, got[i], want[i])
-				}
-			}
-			if got, want := ck.Contiguous(s), Contiguous(m.Comm, s); got != want {
-				t.Fatalf("%s: Contiguous = %v, reference = %v", label, got, want)
-			}
+			agreesWithReference(t, fmt.Sprintf("model %d trial %d", mi, trial), m, ck, s)
 		}
 	}
 }

@@ -58,6 +58,9 @@ func (r *Report) String() string {
 func Check(m *core.Model, s *Schedule) *Report {
 	a := AnalyzerFor(m, s)
 	rep := &Report{Feasible: true}
+	if len(m.Constraints) > 0 {
+		rep.Constraints = make([]ConstraintReport, 0, len(m.Constraints))
+	}
 	for _, c := range m.Constraints {
 		var worst int
 		switch c.Kind {
@@ -100,11 +103,15 @@ func (a *Analyzer) PeriodicWorstResponse(c *core.Constraint) int {
 	// invocation instants {kp mod M} are exactly the multiples of
 	// gcd(p, M), so scanning those inside [0, M) covers every
 	// invocation without leaving the analyzer's horizon.
+	task, ok := a.flatten(c.Task)
+	if !ok {
+		return Infinite
+	}
 	m := n * a.align
 	step := gcd(c.Period, m)
 	worst := 0
 	for t := 0; t < m; t += step {
-		f := a.EarliestCompletion(c.Task, t)
+		f := a.earliestCompletion(task, t)
 		if f == Infinite {
 			return Infinite
 		}

@@ -75,7 +75,7 @@ func renamedSurface(i int) []byte {
 // find the new allocation rather than raise the ceiling.
 const (
 	identicalHitAllocs = 5
-	renamedHitAllocs   = 228
+	renamedHitAllocs   = 105
 )
 
 // raceEnabled is set by a race-only file: the race detector's

@@ -8,8 +8,90 @@ import (
 	"rtm/internal/core"
 )
 
-// FuzzParse checks that the parser never panics and that anything it
-// accepts survives a Print/Parse round trip.
+// parseTraps are inputs on which a hand-written parser most easily
+// drifts from the reference: fmt.Sscanf's %d rules (a sign, trailing
+// bytes ignored, out-of-range values), strings.Fields' Unicode white
+// space, where '#' starts a comment, and bodies over several lines.
+var parseTraps = []string{
+	"element a weight +5\nperiodic P period 9 deadline 9 { a }",
+	"element a weight 5abc\nperiodic P period 9 deadline 9 { a }",
+	"element a weight -0\nperiodic P period 9 deadline 9 { a }",
+	"element a weight +\n",
+	"element a weight --1\n",
+	"element a weight 1_0\n",
+	"element a weight 99999999999999999999\n",
+	"element a weight 9223372036854775807\nperiodic P period 9 deadline 9 { a }",
+	"element a weight 1\nperiodic P period 9223372036854775808 deadline 9 { a }",
+	"element a weight 1\nperiodic P period -9223372036854775808 deadline 9 { a }",
+	"element a weight 1\nperiodic P period +4x deadline 4y { a }",
+	"element a weight 1\npipeline a stages 2z\nperiodic P period 9 deadline 9 { a }",
+	"element\u00a0a weight 1\nperiodic P period 9 deadline 9 { a }",
+	"element a\u2003weight\u30001\nperiodic\u0085P period 9 deadline 9 { a }",
+	"element a weight 1\u200b\n",
+	"element a\xffb weight 1\n",
+	"element a#b weight 1\nperiodic P period 9 deadline 9 { a#b }",
+	"element a weight 1\t# tab comment\nperiodic P period 9 deadline 9 { a } # done",
+	"element a weight 1\v# not a comment\n",
+	"element a weight 1\u00a0# not a comment either\n",
+	"element a weight 1\r\nperiodic P period 9 deadline 9 { a }\r\n",
+	"element a weight 1\nelement b weight 1\npath a -> b\nperiodic P period 9 deadline 9 {\n a ->\n # comment line\n b # c\n} trailing words",
+	"element a weight 1\nelement b weight 1\npath a -> b\nperiodic P period 9 deadline 9 { a -\n> b }",
+	"element a weight 1\nelement b weight 1\nperiodic P period 9 deadline 9 { a\n b }",
+	"element a weight 1\nperiodic P period 9 deadline 9 {\n a\n",
+	"element a weight 1\nperiodic P period 9 deadline 9{a}junk\nsystem s",
+	"element a weight 1\nperiodic P period 9 deadline 9 { a; ; a }",
+	"element a weight 1\nperiodic P period 9 deadline 9 { x:a -> y:a:b }",
+	"element a weight 1\npath a -> a\nperiodic P period 9 deadline 9 { a -> a }",
+	"system one\nsystem two\nelement a weight 1\nperiodic P period 9 deadline 9 { a }",
+	"system\n",
+	"periodic P period 9 deadline 9 { a } extra }",
+}
+
+// agreesWithReference asserts that Parse and the vendored reference
+// parser agree on text: accept or reject, the error text (line number
+// included), the system name, the Print output and the fingerprint.
+func agreesWithReference(t *testing.T, text string) {
+	t.Helper()
+	got, gotErr := Parse(text)
+	want, wantErr := refParse(text)
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("accept/reject differs on %q: Parse err %v, reference err %v", text, gotErr, wantErr)
+	}
+	if wantErr != nil {
+		if gotErr.Error() != wantErr.Error() {
+			t.Fatalf("error differs on %q:\n  Parse:     %v\n  reference: %v", text, gotErr, wantErr)
+		}
+		return
+	}
+	if got.Name != want.Name {
+		t.Fatalf("system name differs on %q: %q vs %q", text, got.Name, want.Name)
+	}
+	if g, w := Print(got.Name, got.Model), Print(want.Name, want.Model); g != w {
+		t.Fatalf("Print differs on %q:\n--- Parse\n%s--- reference\n%s", text, g, w)
+	}
+	if core.Fingerprint(got.Model) != core.Fingerprint(want.Model) {
+		t.Fatalf("fingerprint differs on %q", text)
+	}
+}
+
+// TestParseMatchesReference runs the differential oracle over the
+// traps, every other table input of this package and a seed-1 layered
+// corpus.
+func TestParseMatchesReference(t *testing.T) {
+	inputs := append([]string{exampleSpec, ""}, parseTraps...)
+	for _, c := range parseErrorCases {
+		inputs = append(inputs, c.text)
+	}
+	inputs = append(inputs, transformErrorCases...)
+	inputs = append(inputs, corpusTexts(t, 64)...)
+	for _, text := range inputs {
+		agreesWithReference(t, text)
+	}
+}
+
+// FuzzParse checks that the parser never panics, that it agrees with
+// the reference parser on every input, and that anything it accepts
+// survives a Print/Parse round trip.
 func FuzzParse(f *testing.F) {
 	f.Add(exampleSpec)
 	f.Add("element a weight 1\nperiodic P period 3 deadline 3 { a }")
@@ -18,7 +100,11 @@ func FuzzParse(f *testing.F) {
 	f.Add("path a -> b\n# comment\nsystem x")
 	f.Add("periodic P period 1 deadline 1 {")
 	f.Add("element a weight 1\nperiodic P period 3 deadline 3 { a:b:c }")
+	for _, text := range parseTraps {
+		f.Add(text)
+	}
 	f.Fuzz(func(t *testing.T, text string) {
+		agreesWithReference(t, text)
 		sp, err := Parse(text)
 		if err != nil {
 			return

@@ -32,7 +32,10 @@ package spec
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"rtm/internal/core"
 	"rtm/internal/fault"
@@ -68,69 +71,74 @@ type transform struct {
 }
 
 // Parse compiles a specification text into a validated model.
+//
+// It is one pass over the text: lines, fields, integers and task steps
+// are located in place as substrings of text, so a spec whose
+// constraint bodies each fit on one line is parsed without building
+// any string.
 func Parse(text string) (*Spec, error) {
 	sp := &Spec{Model: core.NewModel()}
 	var transforms []transform
-	lines := strings.Split(text, "\n")
-	for i := 0; i < len(lines); i++ {
-		lineNo := i + 1
-		line := stripComment(lines[i])
+	ls := lines{text: text}
+	for ls.next() {
+		lineNo := ls.no
+		line := stripComment(ls.line)
 		if line == "" {
 			continue
 		}
-		fields := strings.Fields(line)
-		switch fields[0] {
+		var f fields
+		f.split(line)
+		switch f.at(0) {
 		case "system":
-			if len(fields) != 2 {
+			if f.n != 2 {
 				return nil, errf(lineNo, "usage: system <name>")
 			}
-			sp.Name = fields[1]
+			sp.Name = f.at(1)
 		case "element":
-			if len(fields) != 4 || fields[2] != "weight" {
+			if f.n != 4 || f.at(2) != "weight" {
 				return nil, errf(lineNo, "usage: element <name> weight <int>")
 			}
-			var w int
-			if _, err := fmt.Sscanf(fields[3], "%d", &w); err != nil || w < 0 {
-				return nil, errf(lineNo, "bad weight %q", fields[3])
+			w, ok := scanInt(f.at(3))
+			if !ok || w < 0 {
+				return nil, errf(lineNo, "bad weight %q", f.at(3))
 			}
-			sp.Model.Comm.AddElement(fields[1], w)
+			sp.Model.Comm.AddElement(f.at(1), w)
 		case "path":
-			if len(fields) != 4 || fields[2] != "->" {
+			if f.n != 4 || f.at(2) != "->" {
 				return nil, errf(lineNo, "usage: path <from> -> <to>")
 			}
-			for _, e := range []string{fields[1], fields[3]} {
+			for _, e := range [2]string{f.at(1), f.at(3)} {
 				if !sp.Model.Comm.G.HasNode(e) {
 					return nil, errf(lineNo, "unknown element %q (declare it first)", e)
 				}
 			}
-			sp.Model.Comm.AddPath(fields[1], fields[3])
+			sp.Model.Comm.AddPath(f.at(1), f.at(3))
 		case "periodic", "sporadic":
-			c, consumed, err := parseConstraint(fields[0], lines, i)
+			c, err := parseConstraint(f.at(0), line, lineNo, &ls)
 			if err != nil {
 				return nil, err
 			}
 			sp.Model.AddConstraint(c)
-			i += consumed
 		case "pipeline":
-			if len(fields) != 4 || fields[2] != "stages" {
+			if f.n != 4 || f.at(2) != "stages" {
 				return nil, errf(lineNo, "usage: pipeline <elem> stages <int>")
 			}
-			var n int
-			if _, err := fmt.Sscanf(fields[3], "%d", &n); err != nil || n < 1 {
-				return nil, errf(lineNo, "bad stage count %q", fields[3])
+			n, ok := scanInt(f.at(3))
+			if !ok || n < 1 {
+				return nil, errf(lineNo, "bad stage count %q", f.at(3))
 			}
-			transforms = append(transforms, transform{kind: "pipeline", elem: fields[1], n: n, line: lineNo})
+			transforms = append(transforms, transform{kind: "pipeline", elem: f.at(1), n: n, line: lineNo})
 		case "replicate":
-			if len(fields) != 4 || fields[2] != "copies" {
+			if f.n != 4 || f.at(2) != "copies" {
 				return nil, errf(lineNo, "usage: replicate <elem> copies <int>")
 			}
-			var n int
-			if _, err := fmt.Sscanf(fields[3], "%d", &n); err != nil || n < 2 {
-				return nil, errf(lineNo, "bad copy count %q (need ≥ 2)", fields[3])
+			n, ok := scanInt(f.at(3))
+			if !ok || n < 2 {
+				return nil, errf(lineNo, "bad copy count %q (need ≥ 2)", f.at(3))
 			}
-			transforms = append(transforms, transform{kind: "replicate", elem: fields[1], n: n, line: lineNo})
+			transforms = append(transforms, transform{kind: "replicate", elem: f.at(1), n: n, line: lineNo})
 		default:
-			return nil, errf(lineNo, "unknown directive %q", fields[0])
+			return nil, errf(lineNo, "unknown directive %q", f.at(0))
 		}
 	}
 	if err := sp.Model.Validate(); err != nil {
@@ -156,6 +164,102 @@ func Parse(text string) (*Spec, error) {
 	return sp, nil
 }
 
+// lines walks a text line by line, splitting on '\n' exactly as
+// strings.Split does: a text ending in '\n' has a last, empty line.
+type lines struct {
+	text string
+	pos  int  // offset of the next line
+	done bool // the last line has been returned
+	no   int  // 1-based number of the current line
+	line string
+}
+
+func (ls *lines) next() bool {
+	if ls.done {
+		return false
+	}
+	rest := ls.text[ls.pos:]
+	if j := strings.IndexByte(rest, '\n'); j >= 0 {
+		ls.line, ls.pos = rest[:j], ls.pos+j+1
+	} else {
+		ls.line, ls.done = rest, true
+	}
+	ls.no++
+	return true
+}
+
+// fields splits a line around runs of white space exactly as
+// strings.Fields does, keeping the first len(s) fields in place and
+// counting them all: no directive has more than six.
+type fields struct {
+	s [6]string
+	n int
+}
+
+func (f *fields) split(line string) {
+	f.n = 0
+	start := -1 // offset of the current field, or -1 between fields
+	for i := 0; i < len(line); {
+		c, w := line[i], 1
+		space := asciiSpace[c] != 0
+		if c >= utf8.RuneSelf {
+			var r rune
+			r, w = utf8.DecodeRuneInString(line[i:])
+			space = unicode.IsSpace(r)
+		}
+		if !space && start < 0 {
+			start = i
+		} else if space && start >= 0 {
+			f.add(line[start:i])
+			start = -1
+		}
+		i += w
+	}
+	if start >= 0 {
+		f.add(line[start:])
+	}
+}
+
+func (f *fields) add(field string) {
+	if f.n < len(f.s) {
+		f.s[f.n] = field
+	}
+	f.n++
+}
+
+// at returns field i, or "" past the fields kept.
+func (f *fields) at(i int) string {
+	if i >= f.n || i >= len(f.s) {
+		return ""
+	}
+	return f.s[i]
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts; a byte at
+// or above utf8.RuneSelf starts a multi-byte rune (an invalid byte is
+// one non-space rune, as strings.Fields reads it).
+var asciiSpace = [256]uint8{'\t': 1, '\n': 1, '\v': 1, '\f': 1, '\r': 1, ' ': 1}
+
+// scanInt reads an integer the way fmt.Sscanf's %d verb does: an
+// optional '+' or '-', then at least one decimal digit; the bytes
+// after the digits are not looked at, so "5abc" reads as 5. A value
+// outside int's range fails.
+func scanInt(s string) (int, bool) {
+	i := 0
+	if i < len(s) && (s[i] == '+' || s[i] == '-') {
+		i++
+	}
+	j := i
+	for j < len(s) && '0' <= s[j] && s[j] <= '9' {
+		j++
+	}
+	if j == i {
+		return 0, false
+	}
+	n, err := strconv.Atoi(s[:j])
+	return n, err == nil
+}
+
 // stripComment removes a trailing comment. A '#' starts a comment
 // only at the beginning of a line or after whitespace, so element
 // names containing '#' (pipeline stages like "f#0") survive.
@@ -169,87 +273,97 @@ func stripComment(line string) string {
 	return strings.TrimSpace(line)
 }
 
-// parseConstraint parses a constraint starting at lines[start]; the
-// body may be inline ("{ ... }" on one line) or span lines until a
-// closing "}". It returns the constraint and how many extra lines
-// were consumed.
-func parseConstraint(kind string, lines []string, start int) (*core.Constraint, int, error) {
-	lineNo := start + 1
-	head := stripComment(lines[start])
+// parseConstraint parses the constraint whose (comment-stripped) head
+// line is head. The body may be inline ("{ ... }" on one line) or run
+// over the following lines of ls up to the first '}'; anything after
+// that '}' on its line is ignored.
+func parseConstraint(kind, head string, lineNo int, ls *lines) (*core.Constraint, error) {
 	open := strings.IndexByte(head, '{')
 	if open < 0 {
-		return nil, 0, errf(lineNo, "constraint missing '{'")
+		return nil, errf(lineNo, "constraint missing '{'")
 	}
-	fields := strings.Fields(head[:open])
+	var f fields
+	f.split(head[:open])
 	sepWord := "period"
 	k := core.Periodic
 	if kind == "sporadic" {
 		sepWord = "separation"
 		k = core.Asynchronous
 	}
-	if len(fields) != 6 || fields[2] != sepWord || fields[4] != "deadline" {
-		return nil, 0, errf(lineNo, "usage: %s <name> %s <int> deadline <int> { ... }", kind, sepWord)
+	if f.n != 6 || f.at(2) != sepWord || f.at(4) != "deadline" {
+		return nil, errf(lineNo, "usage: %s <name> %s <int> deadline <int> { ... }", kind, sepWord)
 	}
-	var p, d int
-	if _, err := fmt.Sscanf(fields[3], "%d", &p); err != nil {
-		return nil, 0, errf(lineNo, "bad %s %q", sepWord, fields[3])
+	p, ok := scanInt(f.at(3))
+	if !ok {
+		return nil, errf(lineNo, "bad %s %q", sepWord, f.at(3))
 	}
-	if _, err := fmt.Sscanf(fields[5], "%d", &d); err != nil {
-		return nil, 0, errf(lineNo, "bad deadline %q", fields[5])
+	d, ok := scanInt(f.at(5))
+	if !ok {
+		return nil, errf(lineNo, "bad deadline %q", f.at(5))
 	}
 
-	// collect the body text up to the matching '}'
 	body := head[open+1:]
-	consumed := 0
-	for !strings.Contains(body, "}") {
-		next := start + 1 + consumed
-		if next >= len(lines) {
-			return nil, 0, errf(lineNo, "constraint body not closed")
+	if end := strings.IndexByte(body, '}'); end >= 0 {
+		body = body[:end]
+	} else {
+		var err error
+		if body, err = joinBody(body, lineNo, ls); err != nil {
+			return nil, err
 		}
-		body += " " + stripComment(lines[next])
-		consumed++
 	}
-	body = body[:strings.IndexByte(body, '}')]
-
 	task, err := parseTask(body, lineNo)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	return &core.Constraint{
-		Name: fields[1], Task: task, Period: p, Deadline: d, Kind: k,
-	}, consumed, nil
+		Name: f.at(1), Task: task, Period: p, Deadline: d, Kind: k,
+	}, nil
+}
+
+// joinBody reads the rest of a body that runs over several lines: each
+// further line of ls, comment stripped and trimmed, joined to first by
+// one space, up to the first '}'. The joined body is built once.
+func joinBody(first string, lineNo int, ls *lines) (string, error) {
+	var b strings.Builder
+	b.WriteString(first)
+	for ls.next() {
+		seg := stripComment(ls.line)
+		b.WriteByte(' ')
+		if end := strings.IndexByte(seg, '}'); end >= 0 {
+			b.WriteString(seg[:end])
+			return b.String(), nil
+		}
+		b.WriteString(seg)
+	}
+	return "", errf(lineNo, "constraint body not closed")
 }
 
 // parseTask parses a ';'-separated list of chains into a task graph.
 func parseTask(body string, lineNo int) (*core.TaskGraph, error) {
 	t := core.NewTaskGraph()
-	addStep := func(item string) (string, error) {
-		node, elem := item, item
-		if idx := strings.IndexByte(item, ':'); idx >= 0 {
-			node, elem = item[:idx], item[idx+1:]
-			if node == "" || elem == "" {
-				return "", errf(lineNo, "bad step %q", item)
-			}
-		}
-		t.AddStep(node, elem)
-		return node, nil
-	}
-	for _, clause := range strings.Split(body, ";") {
+	for rest, more := body, true; more; {
+		var clause string
+		clause, rest, more = strings.Cut(rest, ";")
 		clause = strings.TrimSpace(clause)
 		if clause == "" {
 			continue
 		}
-		parts := strings.Split(clause, "->")
 		prev := ""
-		for _, part := range parts {
-			part = strings.TrimSpace(part)
-			if part == "" {
+		for steps, chained := clause, true; chained; {
+			var item string
+			item, steps, chained = strings.Cut(steps, "->")
+			item = strings.TrimSpace(item)
+			if item == "" {
 				return nil, errf(lineNo, "empty step in %q", clause)
 			}
-			node, err := addStep(part)
-			if err != nil {
-				return nil, err
+			node, elem := item, item
+			if idx := strings.IndexByte(item, ':'); idx >= 0 {
+				node, elem = item[:idx], item[idx+1:]
+				if node == "" || elem == "" {
+					return nil, errf(lineNo, "bad step %q", item)
+				}
 			}
+			t.AddStep(node, elem)
 			if prev != "" {
 				t.AddPrec(prev, node)
 			}

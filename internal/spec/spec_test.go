@@ -117,27 +117,30 @@ periodic P period 9 deadline 9 { s -> l -> t; s -> r -> t }
 	}
 }
 
+// parseErrorCases are inputs Parse must reject; the differential
+// oracle also runs over them.
+var parseErrorCases = []struct {
+	name, text string
+}{
+	{"unknown directive", "frobnicate"},
+	{"bad element", "element x"},
+	{"bad weight", "element x weight two"},
+	{"negative weight", "element x weight -1"},
+	{"path unknown elem", "path a -> b"},
+	{"bad path arrow", "element a weight 1\nelement b weight 1\npath a to b"},
+	{"missing brace", "element a weight 1\nperiodic P period 5 deadline 5 a"},
+	{"unclosed body", "element a weight 1\nperiodic P period 5 deadline 5 { a"},
+	{"bad period", "element a weight 1\nperiodic P period x deadline 5 { a }"},
+	{"bad deadline", "element a weight 1\nperiodic P period 5 deadline y { a }"},
+	{"empty body", "element a weight 1\nperiodic P period 5 deadline 5 { }"},
+	{"empty step", "element a weight 1\nperiodic P period 5 deadline 5 { a -> }"},
+	{"bad colon step", "element a weight 1\nperiodic P period 5 deadline 5 { :a }"},
+	{"invalid model", "element a weight 9\nperiodic P period 5 deadline 5 { a }"},
+	{"sporadic keyword", "element a weight 1\nsporadic S period 5 deadline 5 { a }"},
+}
+
 func TestParseErrors(t *testing.T) {
-	cases := []struct {
-		name, text string
-	}{
-		{"unknown directive", "frobnicate"},
-		{"bad element", "element x"},
-		{"bad weight", "element x weight two"},
-		{"negative weight", "element x weight -1"},
-		{"path unknown elem", "path a -> b"},
-		{"bad path arrow", "element a weight 1\nelement b weight 1\npath a to b"},
-		{"missing brace", "element a weight 1\nperiodic P period 5 deadline 5 a"},
-		{"unclosed body", "element a weight 1\nperiodic P period 5 deadline 5 { a"},
-		{"bad period", "element a weight 1\nperiodic P period x deadline 5 { a }"},
-		{"bad deadline", "element a weight 1\nperiodic P period 5 deadline y { a }"},
-		{"empty body", "element a weight 1\nperiodic P period 5 deadline 5 { }"},
-		{"empty step", "element a weight 1\nperiodic P period 5 deadline 5 { a -> }"},
-		{"bad colon step", "element a weight 1\nperiodic P period 5 deadline 5 { :a }"},
-		{"invalid model", "element a weight 9\nperiodic P period 5 deadline 5 { a }"},
-		{"sporadic keyword", "element a weight 1\nsporadic S period 5 deadline 5 { a }"},
-	}
-	for _, c := range cases {
+	for _, c := range parseErrorCases {
 		if _, err := Parse(c.text); err == nil {
 			t.Errorf("%s: error expected", c.name)
 		}
@@ -249,15 +252,18 @@ replicate f copies 3
 	}
 }
 
+// transformErrorCases are specs whose pipeline or replicate directive
+// Parse must reject; the differential oracle also runs over them.
+var transformErrorCases = []string{
+	"element a weight 3\nperiodic P period 9 deadline 9 { a }\npipeline a stages 2", // 3 % 2 != 0
+	"element a weight 2\nperiodic P period 9 deadline 9 { a }\npipeline b stages 2", // unknown elem
+	"element a weight 2\nperiodic P period 9 deadline 9 { a }\npipeline a stages x",
+	"element a weight 2\nperiodic P period 9 deadline 9 { a }\nreplicate a copies 1",
+	"element a weight 2\nperiodic P period 9 deadline 9 { a }\nreplicate b copies 3",
+}
+
 func TestTransformDirectiveErrors(t *testing.T) {
-	cases := []string{
-		"element a weight 3\nperiodic P period 9 deadline 9 { a }\npipeline a stages 2", // 3 % 2 != 0
-		"element a weight 2\nperiodic P period 9 deadline 9 { a }\npipeline b stages 2", // unknown elem
-		"element a weight 2\nperiodic P period 9 deadline 9 { a }\npipeline a stages x",
-		"element a weight 2\nperiodic P period 9 deadline 9 { a }\nreplicate a copies 1",
-		"element a weight 2\nperiodic P period 9 deadline 9 { a }\nreplicate b copies 3",
-	}
-	for i, c := range cases {
+	for i, c := range transformErrorCases {
 		if _, err := Parse(c); err == nil {
 			t.Errorf("case %d: error expected", i)
 		}

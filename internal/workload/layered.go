@@ -124,3 +124,38 @@ func smoothSnap(p int) int {
 	}
 	return menu[len(menu)-1]
 }
+
+// LayeredCorpus draws layered models with distinct canonical
+// fingerprints from one seed, each with its own parameters over the
+// serving corpus's ranges, until n of them pass keep (nil keeps
+// every one). A fixed seed gives a fixed, varied slice: the
+// micro-benchmarks of the serving path's stages run over one. It
+// returns fewer than n models if 100·n draws do not yield them.
+func LayeredCorpus(seed int64, n int, keep func(*core.Model) bool) []*core.Model {
+	rng := rand.New(rand.NewSource(seed))
+	seen := make(map[string]bool, n)
+	var out []*core.Model
+	for draws := 0; len(out) < n && draws < 100*n; draws++ {
+		m, err := Layered(rng, LayeredParams{
+			Layers:        1 + rng.Intn(3),
+			Width:         1 + rng.Intn(3),
+			Density:       0.3 + 0.4*rng.Float64(),
+			MaxWeight:     1 + rng.Intn(3),
+			Constraints:   1 + rng.Intn(4),
+			ChainLen:      1 + rng.Intn(4),
+			AsyncFrac:     rng.Float64(),
+			Stretch:       1 + 2.5*rng.Float64(),
+			PeriodStretch: 1 + 5*rng.Float64(),
+		})
+		if err != nil {
+			continue
+		}
+		fp := core.Fingerprint(m)
+		if seen[fp] || keep != nil && !keep(m) {
+			continue
+		}
+		seen[fp] = true
+		out = append(out, m)
+	}
+	return out
+}

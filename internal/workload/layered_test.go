@@ -82,3 +82,31 @@ func TestSmoothSnap(t *testing.T) {
 		}
 	}
 }
+
+func TestLayeredCorpus(t *testing.T) {
+	a := LayeredCorpus(1, 20, nil)
+	b := LayeredCorpus(1, 20, nil)
+	if len(a) != 20 || len(b) != 20 {
+		t.Fatalf("corpus sizes %d, %d", len(a), len(b))
+	}
+	seen := map[string]bool{}
+	for i := range a {
+		fp := core.Fingerprint(a[i])
+		if fp != core.Fingerprint(b[i]) {
+			t.Fatalf("draw %d differs between runs of one seed", i)
+		}
+		if seen[fp] {
+			t.Fatalf("draw %d repeats a class", i)
+		}
+		seen[fp] = true
+	}
+	async := LayeredCorpus(1, 5, func(m *core.Model) bool { return len(m.Asynchronous()) > 0 })
+	for i, m := range async {
+		if len(m.Asynchronous()) == 0 {
+			t.Fatalf("draw %d was not kept by keep", i)
+		}
+	}
+	if got := LayeredCorpus(1, 3, func(*core.Model) bool { return false }); len(got) != 0 {
+		t.Fatalf("keep rejecting all returned %d models", len(got))
+	}
+}
