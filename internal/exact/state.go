@@ -214,7 +214,7 @@ type state struct {
 	deficit  int   // Σ_e max(0, minCount[e] − count[e])
 	needs    []needRT
 	ck       *sched.Checker
-	strbuf   []string // reusable candidate-schedule buffer
+	alpha    []int // symbol id -> ck's element index (sched.Checker.Alphabet)
 
 	// Pruner state (prune.go). slideWin is the largest active sliding
 	// deadline: the memo signature carries the last slideWin slots and
@@ -240,6 +240,7 @@ type needRT struct {
 	spec   *needSpec
 	active bool // d ≤ n; wrapped windows are checked at the leaf
 	win    []int
+	wrap   []int // leaf scratch: win slid across the wrapped windows
 	cum    []int
 	snap   [][]int
 }
@@ -253,7 +254,9 @@ func newState(p *problem, n int, minCount []int, totalMin int, ck *sched.Checker
 		minCount: minCount,
 		deficit:  totalMin,
 		ck:       ck,
-		strbuf:   make([]string, n),
+	}
+	if ck != nil {
+		s.alpha = ck.Alphabet(p.syms)
 	}
 	s.needs = make([]needRT, len(p.needs))
 	for i := range p.needs {
@@ -262,6 +265,7 @@ func newState(p *problem, n int, minCount []int, totalMin int, ck *sched.Checker
 		if rt.active {
 			if spec.period == 0 {
 				rt.win = make([]int, len(spec.pairs))
+				rt.wrap = make([]int, len(spec.pairs))
 			} else {
 				rt.cum = make([]int, len(spec.pairs))
 				rt.snap = make([][]int, (n-1)/spec.period+1)
@@ -430,20 +434,64 @@ func (s *state) contigPrefixOK(pos int) bool {
 	return run%w == 0
 }
 
-// leafCheck evaluates the complete assignment. On success it returns
-// a schedule owning its own memory.
+// wrapOK checks the sliding deadline windows that wrap past the
+// cycle end, which pruneOK never sees: the windows starting at
+// n−d+1 … n−1. Each is the window before it slid by one slot, so the
+// rolling counters of the last in-prefix window [n−d, n) are copied
+// and slid in O(d·pairs). A window short of demand proves the
+// candidate infeasible, so this only rejects candidates the Checker
+// would reject too.
+func (s *state) wrapOK() bool {
+	for i := range s.needs {
+		rt := &s.needs[i]
+		// at d = n every wrapped window holds the whole cycle, which
+		// pruneOK already checked as [0, n)
+		if !rt.active || rt.spec.period != 0 || rt.spec.d == s.n {
+			continue
+		}
+		spec := rt.spec
+		copy(rt.wrap, rt.win)
+		for out := s.n - spec.d; out < s.n-1; out++ {
+			if pi := spec.pairOf[s.slots[out]]; pi >= 0 {
+				rt.wrap[pi]--
+			}
+			if pi := spec.pairOf[s.slots[out+spec.d-s.n]]; pi >= 0 {
+				rt.wrap[pi]++
+			}
+			for pi, pr := range spec.pairs {
+				if rt.wrap[pi] < pr.k {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// leafCheck evaluates the complete assignment: the wrapped-window
+// filter first, then the Checker on the slot ids themselves. Only the
+// winning candidate is spelled out as a schedule of element names.
 func (s *state) leafCheck() *sched.Schedule {
+	if !s.wrapOK() {
+		return nil
+	}
+	if s.p.contiguous && !s.ck.ContiguousIDs(s.slots, s.alpha) {
+		return nil
+	}
+	if !s.ck.FeasibleIDs(s.slots, s.alpha) {
+		return nil
+	}
+	return s.names()
+}
+
+// names spells the current assignment out as a schedule of element
+// names, owning its own memory.
+func (s *state) names() *sched.Schedule {
+	names := make([]string, s.n)
 	for i, id := range s.slots {
-		s.strbuf[i] = s.p.syms[id]
+		names[i] = s.p.syms[id]
 	}
-	cand := &sched.Schedule{Slots: s.strbuf}
-	if s.p.contiguous && !s.ck.Contiguous(cand) {
-		return nil
-	}
-	if !s.ck.Feasible(cand) {
-		return nil
-	}
-	return sched.New(s.strbuf...)
+	return &sched.Schedule{Slots: names}
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

@@ -31,6 +31,13 @@ type Checker struct {
 	weight   []int          // computation time per element index
 	symID    map[string]int // element name -> index
 
+	// The name entry points (Feasible, Worsts, Contiguous) translate a
+	// schedule into ids once: nameIDs[i] is 0 for Idle or a name the
+	// model does not know, else the element index + 1, and nameAlpha
+	// maps those ids back to element indices.
+	nameIDs   []int
+	nameAlpha []int
+
 	// schedule-bound state, set by bind
 	n     int
 	align int
@@ -100,6 +107,7 @@ func NewChecker(m *core.Model) (*Checker, error) {
 	if maxNodes > ck.maxNodes {
 		ck.maxNodes = maxNodes
 	}
+	ck.nameAlpha = ck.Alphabet(append([]string{Idle}, ck.elems...))
 	ck.occ = make([][]int, len(ck.elems))
 	ck.nexec = make([]int, len(ck.elems))
 	ck.finish = make([]int, ck.maxNodes)
@@ -118,23 +126,51 @@ func MustChecker(m *core.Model) *Checker {
 	return ck
 }
 
+// Alphabet returns the id→element table for a caller's symbol
+// alphabet: entry i is the element index of names[i], or -1 for Idle
+// and for names the model does not know. A caller that keeps
+// candidates as symbol ids builds it once and passes it to every
+// FeasibleIDs and ContiguousIDs call; no name is looked up per
+// candidate.
+func (ck *Checker) Alphabet(names []string) []int {
+	alpha := make([]int, len(names))
+	for i, name := range names {
+		alpha[i] = -1
+		if id, ok := ck.symID[name]; ok && name != Idle {
+			alpha[i] = id
+		}
+	}
+	return alpha
+}
+
+// ids translates a name schedule into the id form of nameAlpha.
+func (ck *Checker) ids(s *Schedule) []int {
+	ck.nameIDs = ck.nameIDs[:0]
+	for _, sym := range s.Slots {
+		id := 0
+		if e, ok := ck.symID[sym]; ok && sym != Idle {
+			id = e + 1
+		}
+		ck.nameIDs = append(ck.nameIDs, id)
+	}
+	return ck.nameIDs
+}
+
 // bind derives the schedule-dependent state (slot positions,
-// alignment, horizon execution counts). It reports false for the
+// alignment, horizon execution counts) of the candidate whose slot i
+// holds symbol ids[i], an index into alpha. It reports false for the
 // empty schedule, whose latencies are all Infinite.
-func (ck *Checker) bind(s *Schedule) bool {
-	ck.n = s.Len()
+func (ck *Checker) bind(ids, alpha []int) bool {
+	ck.n = len(ids)
 	if ck.n == 0 {
 		return false
 	}
 	for e := range ck.occ {
 		ck.occ[e] = ck.occ[e][:0]
 	}
-	for i, sym := range s.Slots {
-		if sym == Idle {
-			continue
-		}
-		if id, ok := ck.symID[sym]; ok {
-			ck.occ[id] = append(ck.occ[id], i)
+	for i, id := range ids {
+		if e := alpha[id]; e >= 0 {
+			ck.occ[e] = append(ck.occ[e], i)
 		}
 	}
 	align := 1
@@ -246,7 +282,14 @@ func (ck *Checker) worstResponse(ci, limit int) int {
 // but reuses all scratch state and stops at the first violated
 // constraint.
 func (ck *Checker) Feasible(s *Schedule) bool {
-	if !ck.bind(s) {
+	return ck.FeasibleIDs(ck.ids(s), ck.nameAlpha)
+}
+
+// FeasibleIDs is Feasible for a candidate given as symbol ids: slot i
+// holds the symbol ids[i], whose element is alpha[ids[i]] (see
+// Alphabet).
+func (ck *Checker) FeasibleIDs(ids, alpha []int) bool {
+	if !ck.bind(ids, alpha) {
 		return len(ck.cons) == 0
 	}
 	for ci := range ck.cons {
@@ -267,7 +310,7 @@ func (ck *Checker) Constraint(i int) *core.Constraint { return ck.cons[i].src }
 // The returned slice is reused by the next call.
 func (ck *Checker) Worsts(s *Schedule) []int {
 	ck.worsts = ck.worsts[:0]
-	bound := ck.bind(s)
+	bound := ck.bind(ck.ids(s), ck.nameAlpha)
 	for ci := range ck.cons {
 		if !bound {
 			ck.worsts = append(ck.worsts, Infinite)
@@ -281,7 +324,13 @@ func (ck *Checker) Worsts(s *Schedule) []int {
 // Contiguous reports whether every execution in the schedule is a
 // block of consecutive slots, matching Contiguous(comm, s).
 func (ck *Checker) Contiguous(s *Schedule) bool {
-	if !ck.bind(s) {
+	return ck.ContiguousIDs(ck.ids(s), ck.nameAlpha)
+}
+
+// ContiguousIDs is Contiguous for a candidate in the id form of
+// FeasibleIDs.
+func (ck *Checker) ContiguousIDs(ids, alpha []int) bool {
+	if !ck.bind(ids, alpha) {
 		return true
 	}
 	cycles := ck.align + 2 // the window ContiguousViolations parses

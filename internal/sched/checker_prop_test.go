@@ -15,7 +15,7 @@ import (
 // the vendored reference Analyzer's answers (refCheck) on one
 // candidate schedule: Check its whole Report, the Checker its
 // feasibility verdict, every per-constraint worst-case latency and
-// contiguity. Pass a nil Checker for models it cannot take (cyclic
+// contiguity, through the name entry points and the id ones. Pass a nil Checker for models it cannot take (cyclic
 // task graphs).
 func agreesWithReference(t *testing.T, label string, m *core.Model, ck *Checker, s *Schedule) {
 	t.Helper()
@@ -42,6 +42,25 @@ func agreesWithReference(t *testing.T, label string, m *core.Model, ck *Checker,
 	}
 	if got, want := ck.Contiguous(s), Contiguous(m.Comm, s); got != want {
 		t.Fatalf("%s: Contiguous = %v, reference = %v", label, got, want)
+	}
+	// the id entry points, over an alphabet of their own: an unused
+	// name first, then the schedule's names in order of appearance
+	names := []string{"unused"}
+	id := map[string]int{}
+	ids := make([]int, len(s.Slots))
+	for i, sym := range s.Slots {
+		if _, ok := id[sym]; !ok {
+			id[sym] = len(names)
+			names = append(names, sym)
+		}
+		ids[i] = id[sym]
+	}
+	alpha := ck.Alphabet(names)
+	if got := ck.FeasibleIDs(ids, alpha); got != wantRep.Feasible {
+		t.Fatalf("%s: FeasibleIDs = %v, reference = %v\nschedule %v", label, got, wantRep.Feasible, s.Slots)
+	}
+	if got, want := ck.ContiguousIDs(ids, alpha), Contiguous(m.Comm, s); got != want {
+		t.Fatalf("%s: ContiguousIDs = %v, reference = %v", label, got, want)
 	}
 }
 
