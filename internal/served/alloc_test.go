@@ -88,7 +88,7 @@ func TestHitPathAllocs(t *testing.T) {
 		t.Skip("coverage and race instrumentation change allocation counts")
 	}
 	svc := service.New(service.Options{})
-	h := newDaemon(svc, 10*time.Second, 1<<20, 1024).mux()
+	h := newDaemon(svc, 10*time.Second, 1<<20, 1024).Mux()
 	var rec allocRecorder
 	same := []byte(exampleSpec)
 	for i := 0; i < 2; i++ { // cold solve, then the hit that fills the front cache

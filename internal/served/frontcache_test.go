@@ -89,7 +89,7 @@ func warmFront(t *testing.T, d *Daemon, h http.Handler, specText string) schedul
 func TestFrontCacheOneByteChangeMisses(t *testing.T) {
 	svc := service.New(service.Options{})
 	d := newDaemon(svc, 10*time.Second, 1<<20, 1024)
-	h := d.mux()
+	h := d.Mux()
 	warmFront(t, d, h, exampleSpec)
 	changed := strings.Replace(exampleSpec, "system ctl", "system ctm", 1)
 	if len(changed) != len(exampleSpec) {
@@ -109,7 +109,7 @@ func TestFrontCacheOneByteChangeMisses(t *testing.T) {
 func TestFrontCacheRenamedSurfaceMisses(t *testing.T) {
 	svc := service.New(service.Options{})
 	d := newDaemon(svc, 10*time.Second, 1<<20, 1024)
-	h := d.mux()
+	h := d.Mux()
 	orig := warmFront(t, d, h, exampleSpec)
 	code, body := postIn(t, h, "/schedule", renamedSpec)
 	iso := decode(t, code, body)
@@ -145,7 +145,7 @@ func TestFrontCacheAsyncBypasses(t *testing.T) {
 	defer q.Close()
 	svc := service.New(service.Options{Queue: q})
 	d := newDaemon(svc, 10*time.Second, 1<<20, 1024)
-	h := d.mux()
+	h := d.Mux()
 
 	if code, body := postIn(t, h, "/schedule?async=1", exampleSpec); code != http.StatusAccepted {
 		t.Fatalf("async submit: status %d: %s", code, body)
@@ -177,7 +177,7 @@ sporadic c2 separation 12 deadline 12 { u2 }
 `
 	svc := service.New(service.Options{Exact: exact.Options{MaxCandidates: 1}, DisableHeuristic: true})
 	d := newDaemon(svc, 10*time.Second, 1<<20, 1024)
-	h := d.mux()
+	h := d.Mux()
 	for i := 0; i < 3; i++ {
 		if got := postOK(t, h, hard); got.Decided || got.CacheHit {
 			t.Fatalf("request %d: %+v", i, got)
@@ -192,7 +192,7 @@ sporadic c2 separation 12 deadline 12 { u2 }
 func TestFrontCacheSkipsBadRequests(t *testing.T) {
 	svc := service.New(service.Options{})
 	d := newDaemon(svc, 10*time.Second, 64, 1024)
-	h := d.mux()
+	h := d.Mux()
 	big := strings.Repeat("element x weight 1\n", 100)
 	for i := 0; i < 2; i++ {
 		if code, _ := postIn(t, h, "/schedule", "element dangling syntax"); code != http.StatusBadRequest {
@@ -253,7 +253,7 @@ func TestFrontCacheSkipsShed(t *testing.T) {
 
 	svc := service.New(opt)
 	d := newDaemon(svc, time.Minute, 1<<20, 1024)
-	h := d.mux()
+	h := d.Mux()
 	release := holdSearchSlot(t, svc, h)
 	for i := 0; i < 2; i++ {
 		if code, body := postIn(t, h, "/schedule", exampleSpec); code != http.StatusTooManyRequests {
@@ -273,7 +273,7 @@ func TestFrontCacheSkipsShed(t *testing.T) {
 	opt.Queue = q
 	svcQ := service.New(opt)
 	dq := newDaemon(svcQ, time.Minute, 1<<20, 1024)
-	hq := dq.mux()
+	hq := dq.Mux()
 	release = holdSearchSlot(t, svcQ, hq)
 	for i := 0; i < 2; i++ {
 		if code, body := postIn(t, hq, "/schedule", exampleSpec); code != http.StatusAccepted {
@@ -299,7 +299,7 @@ func TestFrontCacheEvictedEntryNotServed(t *testing.T) {
 		defer st.Close()
 		svc := service.New(service.Options{CacheSize: 1, CacheShards: 1, Store: st})
 		d := newDaemon(svc, 10*time.Second, 1<<20, respCache)
-		h := d.mux()
+		h := d.Mux()
 		postOK(t, h, exampleSpec)
 		postOK(t, h, exampleSpec) // LRU hit
 		postOK(t, h, auxSpec)     // evicts exampleSpec's class
@@ -328,7 +328,7 @@ func TestFrontCacheEvictedEntryNotServed(t *testing.T) {
 func TestFrontCacheNewGenerationNotServed(t *testing.T) {
 	svc := service.New(service.Options{CacheSize: 1, CacheShards: 1})
 	d := newDaemon(svc, 10*time.Second, 1<<20, 1024)
-	h := d.mux()
+	h := d.Mux()
 	warmFront(t, d, h, exampleSpec)
 	// mark the stored body so serving it would show
 	const stale = `{"stale":`
@@ -358,7 +358,7 @@ func TestFrontCacheNewGenerationNotServed(t *testing.T) {
 func TestFrontHitKeepsLRURecency(t *testing.T) {
 	svc := service.New(service.Options{CacheSize: 2, CacheShards: 1})
 	d := newDaemon(svc, 10*time.Second, 1<<20, 1024)
-	h := d.mux()
+	h := d.Mux()
 	warmFront(t, d, h, exampleSpec) // A
 	postOK(t, h, auxSpec)           // B
 	postOK(t, h, exampleSpec)
@@ -391,7 +391,7 @@ periodic q period 3 deadline 3 { b }
 `
 	svc := service.New(service.Options{})
 	d := newDaemon(svc, 10*time.Second, 1<<20, 1024)
-	h := d.mux()
+	h := d.Mux()
 	for _, tc := range []struct {
 		spec string
 		memo int64
@@ -487,7 +487,7 @@ func TestFrontCacheNonOwnerForwardsAgain(t *testing.T) {
 func TestFrontCacheConcurrentChurn(t *testing.T) {
 	svc := service.New(service.Options{CacheSize: 2, CacheShards: 1})
 	d := newDaemon(svc, 10*time.Second, 1<<20, 2)
-	h := d.mux()
+	h := d.Mux()
 	specs := map[string]string{"ctl": exampleSpec, "ctl2": renamedSpec, "aux": auxSpec, "third": thirdSpec}
 	names := []string{"ctl", "ctl2", "aux", "third"}
 	var wg sync.WaitGroup

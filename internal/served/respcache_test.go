@@ -113,7 +113,7 @@ func TestScheduleStatus(t *testing.T) {
 func TestServedResponseBodyCache(t *testing.T) {
 	svc := service.New(service.Options{})
 	d := newDaemon(svc, 10*time.Second, 1<<20, 1024)
-	srv := httptest.NewServer(d.mux())
+	srv := httptest.NewServer(d.Mux())
 	defer srv.Close()
 
 	post := func(spec string) (string, scheduleResponse) {
@@ -202,7 +202,7 @@ func TestPprofMux(t *testing.T) {
 	}
 
 	svc := service.New(service.Options{})
-	app := httptest.NewServer(newDaemon(svc, time.Second, 1<<20, 0).mux())
+	app := httptest.NewServer(newDaemon(svc, time.Second, 1<<20, 0).Mux())
 	defer app.Close()
 	leak, err := http.Get(app.URL + "/debug/pprof/")
 	if err != nil {

@@ -96,7 +96,7 @@ func BenchmarkHitStages(b *testing.B) {
 		}
 	})
 	b.Run("handler", func(b *testing.B) {
-		h := newDaemon(svc, 10*time.Second, 1<<20, 0).mux()
+		h := newDaemon(svc, 10*time.Second, 1<<20, 0).Mux()
 		bodies := make([][]byte, len(classes))
 		for i := range classes {
 			bodies[i] = []byte(classes[i].text)
