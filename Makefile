@@ -48,14 +48,31 @@ fuzz:
 # runs every property.
 FUZZSHORT = -run xxx -fuzztime 20s -fuzzminimizetime 2s
 
+# fuzz_floor runs the short pass of target $(1) in package $(2) and
+# fails when it reports fewer than $(3) execs: a pass that stalls
+# (minimizing one input for its whole budget, or paying milliseconds
+# of set-up per exec) fuzzes almost nothing, and a green run would
+# hide that. Each floor is about a tenth of what the target reaches
+# in 20 s on 2 vCPUs.
+define fuzz_floor
+	@echo '$(GO) test $(FUZZSHORT) -fuzz $(1) $(2)'
+	@out=$$($(GO) test $(FUZZSHORT) -fuzz $(1) $(2) 2>&1); status=$$?; \
+	printf '%s\n' "$$out"; \
+	test $$status -eq 0 || exit $$status; \
+	execs=$$(printf '%s\n' "$$out" | sed -n 's/.*execs: \([0-9]*\).*/\1/p' | tail -n 1); \
+	if [ "$${execs:-0}" -lt $(3) ]; then \
+		echo "$(1): $${execs:-0} execs, below the floor of $(3)"; exit 1; \
+	fi
+endef
+
 fuzz-short:
-	$(GO) test $(FUZZSHORT) -fuzz FuzzParse ./internal/spec/
-	$(GO) test $(FUZZSHORT) -fuzz FuzzFingerprint ./internal/spec/
-	$(GO) test $(FUZZSHORT) -fuzz FuzzStoreDecode ./internal/store/
-	$(GO) test $(FUZZSHORT) -fuzz FuzzMemoSegmentDecode ./internal/store/
-	$(GO) test $(FUZZSHORT) -fuzz FuzzExactPruned ./internal/exact/
-	$(GO) test $(FUZZSHORT) -fuzz FuzzAnalysisSound ./internal/analysis/
-	$(GO) test $(FUZZSHORT) -fuzz FuzzQueueDecode ./internal/queue/
+	$(call fuzz_floor,FuzzParse,./internal/spec/,25000)
+	$(call fuzz_floor,FuzzFingerprint,./internal/spec/,30000)
+	$(call fuzz_floor,FuzzStoreDecode,./internal/store/,8000)
+	$(call fuzz_floor,FuzzMemoSegmentDecode,./internal/store/,2000)
+	$(call fuzz_floor,FuzzExactPruned,./internal/exact/,6000)
+	$(call fuzz_floor,FuzzAnalysisSound,./internal/analysis/,20000)
+	$(call fuzz_floor,FuzzQueueDecode,./internal/queue/,10000)
 
 # The CI gate: vet, the full suite under the race detector, the short
 # fuzz pass, and the serving benchmark's own vet, tests and smoke runs.
@@ -71,6 +88,11 @@ perfbench-test:
 # answer goes through its oracle, which compares each timed answer
 # byte for byte with one checked against the real handler, so a hit
 # path that serves a stale or wrong body fails CI (the run exits 1).
+# The five-second cold_corpus run covers at least one complete chunk
+# of 2,000 fresh classes through analysis, heuristic and exact search,
+# each verdict checked against a reference: a cold-path change that
+# makes the workload exit non-zero fails CI too.
 perfbench-smoke:
 	bash perfbench/run.sh --workload hot_mix --seed 1 --seconds 2 --trace 0
 	bash perfbench/run.sh --workload store_spill --seed 1 --seconds 2 --trace 0
+	bash perfbench/run.sh --workload cold_corpus --seed 1 --seconds 5 --trace 0

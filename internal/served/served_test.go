@@ -45,7 +45,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *service.Service) {
 func newTestServerOpts(t *testing.T, opt service.Options, maxBody int64) (*httptest.Server, *service.Service) {
 	t.Helper()
 	svc := service.New(opt)
-	srv := httptest.NewServer(newMux(svc, 10*time.Second, maxBody))
+	srv := httptest.NewServer(newDaemon(svc, 10*time.Second, maxBody, 1024))
 	t.Cleanup(srv.Close)
 	return srv, svc
 }
