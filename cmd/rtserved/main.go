@@ -29,12 +29,10 @@
 // Cluster replication endpoints (cluster mode with a store):
 //
 //	GET  /cluster/digests/<p>  Merkle digests of prefix p's children
-//	                           (?tier=v|m selects one tier; the empty
-//	                           prefix is the top level)
+//	                           (the empty prefix is the top level)
 //	GET  /cluster/leaf/<p>     one leaf's fingerprint set
 //	POST /cluster/fetch        body: JSON fingerprint array; response:
-//	                           those records as a sealed segment
-//	GET  /cluster/memoleaf/<p> one leaf's memo classes as a sealed
+//	                           those feasible records as a sealed
 //	                           segment
 //
 // Identical workloads — up to element renaming and constraint
@@ -74,12 +72,15 @@
 // (consistent hashing), non-owners proxy to the owner (one hop max)
 // and fall back to a local solve when the owner is down, and — when a
 // store is attached — an anti-entropy loop walks each peer's Merkle
-// tree every -sync-interval and pulls the records and memo leaves
-// that differ, so any node's decided outcome warms the whole fleet.
-// Replication is trustless: every
-// pulled record is CRC-checked, re-validated, and re-verified against
-// the requesting model before it is ever served, so a corrupt or
-// malicious segment costs a miss, never a wrong schedule.
+// tree every -sync-interval and pulls the records that differ, so any
+// node's feasible verdict warms the whole fleet. Replication is
+// trustless, so only what a receiver can check replicates: a feasible
+// record, whose schedule is CRC-checked, re-validated, and re-verified
+// against the requesting model before it is ever served. A NO has no
+// short certificate, so it stays on the node that decided it (a
+// non-owner that misses decides the class itself), and the memo tier
+// stays local too. A corrupt or malicious segment costs a miss, never
+// a wrong verdict.
 //
 // -pprof PORT exposes net/http/pprof on 127.0.0.1:PORT (never a
 // public interface) with mutex and block profiling enabled, for

@@ -10,12 +10,14 @@
 //	rtstore -dir DIR memo <fingerprint> refutation-cache summary for a fingerprint's memo class
 //	rtstore -dir DIR compact            rewrite both logs to the live indexes (atomic rename)
 //	rtstore -dir DIR verify             replay the logs and report integrity
-//	rtstore -dir DIR [-depth N] manifest   per-prefix counts and digests (verdicts and memo tier)
+//	rtstore -dir DIR [-depth N] manifest   per-prefix counts and digests of the feasible records
 //	rtstore -dir DIR [-depth N] diff DIR2  compare two stores' digests, list one-sided records
 //
 // manifest prints the same digests rtserved exposes at
 // /cluster/digests/, so an operator can compare a node's disk state
-// against the fleet by hand. -depth widens the view from the default
+// against the fleet by hand. They cover the feasible records only, the
+// set that replicates: NOs and the memo tier stay on the node that
+// wrote them. -depth widens the view from the default
 // top level of the Merkle tree (depth 1, full-width digests) down to
 // its leaves (depth 3) — the same levels the syncer walks. diff exits non-zero when
 // the stores differ, so it doubles as a replication-convergence probe.
@@ -142,23 +144,16 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, ", ok\n")
 		return nil
 	case "manifest":
-		ds, err := st.Digests("", *depth, true, true)
+		ds, err := st.Digests("", *depth)
 		if err != nil {
 			return err
 		}
-		total, memoTotal := 0, 0
+		total := 0
 		for _, d := range ds {
-			if d.Count > 0 {
-				fmt.Fprintf(out, "prefix %-3s: %4d records  %s\n", d.Prefix, d.Count, d.Digest)
-			}
-			if d.MemoCount > 0 {
-				fmt.Fprintf(out, "prefix %-3s: %4d memo     %s\n", d.Prefix, d.MemoCount, d.MemoDigest)
-			}
+			fmt.Fprintf(out, "prefix %-3s: %4d records  %s\n", d.Prefix, d.Count, d.Digest)
 			total += d.Count
-			memoTotal += d.MemoCount
 		}
-		fmt.Fprintf(out, "total: %d records, %d memo classes in %d non-empty depth-%d prefixes\n",
-			total, memoTotal, len(ds), *depth)
+		fmt.Fprintf(out, "total: %d feasible records in %d non-empty depth-%d prefixes\n", total, len(ds), *depth)
 		return nil
 	case "diff":
 		if fs.NArg() != 2 {
@@ -203,10 +198,6 @@ func diffStores(out io.Writer, a, b *store.Store, depth int) error {
 	differing := 0
 	for _, p := range prefixes {
 		ad, bd := am[p], bm[p]
-		if ad.MemoDigest != bd.MemoDigest {
-			differing++
-			fmt.Fprintf(out, "prefix %s memo tier differs (%d vs %d classes)\n", p, ad.MemoCount, bd.MemoCount)
-		}
 		if ad.Digest == bd.Digest {
 			continue
 		}
@@ -226,7 +217,7 @@ func diffStores(out io.Writer, a, b *store.Store, depth int) error {
 	if differing > 0 {
 		return fmt.Errorf("stores differ in %d prefix(es)", differing)
 	}
-	fmt.Fprintf(out, "stores converged: %d records, %d memo classes, manifests identical\n", a.Len(), a.MemoLen())
+	fmt.Fprintln(out, "stores converged: manifests identical")
 	return nil
 }
 
@@ -234,7 +225,7 @@ func diffStores(out io.Writer, a, b *store.Store, depth int) error {
 // prefix. Prefixes absent from the map compare as the zero digest —
 // empty on both sides is converged, one-sided is a difference.
 func digestsByPrefix(s *store.Store, depth int) (map[string]store.PrefixDigest, error) {
-	ds, err := s.Digests("", depth, true, true)
+	ds, err := s.Digests("", depth)
 	if err != nil {
 		return nil, err
 	}

@@ -32,8 +32,8 @@ type Client struct {
 	hc   *http.Client
 
 	// Wire accounting for the sync protocol: request and response
-	// body bytes moved by the replication methods (Digests, leaf,
-	// record and memo-leaf pulls). Serve-path forwarding is excluded —
+	// body bytes moved by the replication methods (Digests, leaf
+	// sets and record fetches). Serve-path forwarding is excluded —
 	// these counters exist to price anti-entropy, and they are what
 	// the sync metrics report.
 	rx atomic.Int64
@@ -94,16 +94,9 @@ func (c *Client) getBytes(ctx context.Context, url, what string, bound int64) ([
 }
 
 // Digests fetches the peer's Merkle digests for the direct children
-// of prefix; the empty prefix yields the top level. Tier selects the
-// digest tiers included: "v" (verdict), "m" (memo), or "" for both —
-// walking one tier excludes the other's digests so the walk's wire
-// cost stays minimal.
-func (c *Client) Digests(ctx context.Context, prefix, tier string) ([]store.PrefixDigest, error) {
-	url := c.base + "/cluster/digests/" + prefix
-	if tier != "" {
-		url += "?tier=" + tier
-	}
-	data, err := c.getBytes(ctx, url, fmt.Sprintf("digests %q", prefix), 1<<20)
+// of prefix; the empty prefix yields the top level.
+func (c *Client) Digests(ctx context.Context, prefix string) ([]store.PrefixDigest, error) {
+	data, err := c.getBytes(ctx, c.base+"/cluster/digests/"+prefix, fmt.Sprintf("digests %q", prefix), 1<<20)
 	if err != nil {
 		return nil, err
 	}
@@ -159,15 +152,6 @@ func (c *Client) FetchRecords(ctx context.Context, fps []string) ([]byte, error)
 		return nil, fmt.Errorf("cluster: fetch from %s exceeds %d bytes", c.node, maxSegmentBytes)
 	}
 	return data, nil
-}
-
-// PullMemoLeaf fetches the sealed memo segment for one Merkle leaf —
-// memo deltas pull whole divergent leaves because memo records
-// converge by content merge, so there is no per-record set
-// difference to compute.
-func (c *Client) PullMemoLeaf(ctx context.Context, prefix string) ([]byte, error) {
-	url := c.base + "/cluster/memoleaf/" + prefix
-	return c.getBytes(ctx, url, fmt.Sprintf("memo leaf %q", prefix), maxSegmentBytes)
 }
 
 // ForwardSchedule proxies a POST /schedule body to the peer with the

@@ -12,32 +12,26 @@ import (
 // Syncer is the anti-entropy loop: periodically walk each peer's
 // Merkle tree (store/merkle.go) root-down against this node's and
 // pull what differs, replaying it through the store's validate-or-drop
-// import. A round runs two walks per peer, one per tier, each starting
-// at the empty prefix: the top level (full-width digests) decides
-// "converged", and below it the walk descends only into children
-// whose (count, digest) differ from the local node's.
+// import. A round runs one walk per peer, starting at the empty
+// prefix: the top level (full-width digests) decides "converged", and
+// below it the walk descends only into children whose (count, digest)
+// differ from the local node's.
 //
-// At a divergent verdict leaf the syncer fetches the peer's
-// fingerprint set, computes the missing set locally, and pulls
-// exactly those records — so the wire cost of a round is proportional
-// to the divergence, not the store size. Convergence argument: a
-// verdict digest is a pure function of the fingerprint set and
-// imports only ever add fingerprints (first write wins, no deletes in
-// the protocol), so after one full round in a quiet fleet every
-// node's set is the union of the fleet's and all digests agree. A
-// corrupt pull imports the clean prefix and leaves the digest unequal,
-// so the next round retries — damage heals instead of propagating,
-// and because serves re-verify, the damaged window costs misses,
-// never wrong verdicts.
-//
-// The memo tier pulls whole divergent leaves: memo records converge by
-// content merge under the order-independent union-and-cap rule, so
-// there is no per-record set difference to compute. A poisoned memo
-// segment is even safer than a poisoned verdict segment: a seeded
-// signature only ever matches by exact bytes, so corruption that
-// survives framing costs table memory, never a verdict. The two tiers
-// fail independently — a dead verdict endpoint defers verdict
-// convergence one round, never memo convergence.
+// The tree holds feasible records only — the ones a receiver can
+// check, by re-verifying the schedule — so only they replicate; a NO
+// stays on the node that decided it, and the import refuses one from
+// a peer. At a divergent leaf the syncer fetches the peer's
+// fingerprint set and pulls exactly the fingerprints this node does
+// not hold at all — so the wire cost of a round is proportional to
+// the divergence, not the store size. Convergence argument: a digest
+// is a pure function of the feasible fingerprint set and imports only
+// ever add feasible fingerprints (first write wins, no deletes in the
+// protocol), so after one full round in a quiet fleet every node's set
+// is the union of the fleet's and all digests agree. A corrupt pull
+// imports the clean prefix and leaves the digest unequal, so the next
+// round retries — damage heals instead of propagating, and because
+// serves re-verify, the damaged window costs misses, never wrong
+// verdicts.
 //
 // Nothing a peer says is trusted. Its digests only decide WHAT to
 // pull; the walk descends only into valid direct children of the
@@ -52,9 +46,6 @@ type Syncer struct {
 	// Interval is the period between rounds for Run. Zero defaults to
 	// 10 seconds.
 	Interval time.Duration
-	// Concurrency bounds how many peers are synced in parallel within
-	// one round. Zero defaults to 4.
-	Concurrency int
 	// OnPull, when non-nil, observes each successful pull with the
 	// number of records imported (metrics hook).
 	OnPull func(records int64)
@@ -76,22 +67,14 @@ type RoundStats struct {
 	Peers    int
 	Deferred int
 	Failures int
-	// Pulls counts successful pull+import operations (record fetches
-	// and memo-leaf pulls); Records counts records imported by them.
+	// Pulls counts successful record fetches imported; Records counts
+	// records imported by them.
 	Pulls   int
 	Records int
 	// BytesRx / BytesTx are the wire bytes moved this round across
 	// all peers (request and response bodies of the sync protocol).
 	BytesRx int64
 	BytesTx int64
-}
-
-func (r *RoundStats) addPull(imported int, onPull func(int64)) {
-	r.Pulls++
-	r.Records += imported
-	if onPull != nil {
-		onPull(int64(imported))
-	}
 }
 
 // peerBackoff tracks consecutive failures against one peer. Backoff
@@ -109,19 +92,17 @@ type peerBackoff struct {
 // single response far below the segment cap.
 const fetchBatch = 512
 
+// peerConcurrency bounds how many peers one round syncs in parallel.
+const peerConcurrency = 4
+
 // SyncOnce runs one anti-entropy round: every peer not in backoff is
-// synced on its own goroutine (at most Concurrency in flight), the
-// two tiers walked independently.
+// synced on its own goroutine, at most peerConcurrency in flight.
 func (sy *Syncer) SyncOnce(ctx context.Context) RoundStats {
-	conc := sy.Concurrency
-	if conc <= 0 {
-		conc = 4
-	}
 	var (
 		round RoundStats
 		mu    sync.Mutex
 		wg    sync.WaitGroup
-		sem   = make(chan struct{}, conc)
+		sem   = make(chan struct{}, peerConcurrency)
 	)
 	for _, peer := range sy.Peers {
 		if !sy.admitPeer(peer) {
@@ -194,21 +175,19 @@ func (sy *Syncer) notePeer(p *Client, failed bool) {
 	ps.skip = 1<<shift - 1
 }
 
-// syncPeer runs both tiers of one peer exchange and reports the
-// pulls/records plus whether anything failed (for backoff).
+// syncPeer runs one peer exchange and reports the pulls/records plus
+// whether anything failed (for backoff). It diffs each divergent
+// leaf's fingerprint set, then fetches the missing records in batches;
+// a partial walk still heals what it reached.
 func (sy *Syncer) syncPeer(ctx context.Context, peer *Client) (st RoundStats, failed bool) {
 	fail := func(err error) {
 		sy.logf("cluster: sync: %v", err)
 		failed = true
 	}
-
-	// Verdict tier: diff each divergent leaf's fingerprint set, then
-	// fetch the missing records in batches. A partial walk still
-	// heals what it reached.
 	var want []string
-	err := sy.walk(ctx, peer, false, "", func(leaf string) error {
-		missing, err := sy.missingInLeaf(ctx, peer, leaf)
-		want = append(want, missing...)
+	err := sy.walk(ctx, peer, "", func(leaf string) error {
+		peerFps, err := peer.LeafFingerprints(ctx, leaf)
+		want = append(want, sy.Store.Missing(peerFps)...)
 		return err
 	})
 	if err != nil {
@@ -230,53 +209,34 @@ func (sy *Syncer) syncPeer(ctx context.Context, peer *Client) (st RoundStats, fa
 		if ist.Dropped {
 			sy.logf("cluster: sync: fetch from %s had a corrupt tail; kept %d-record clean prefix", peer.Node(), ist.Imported)
 		}
-		st.addPull(ist.Imported, sy.OnPull)
-	}
-
-	// Memo tier, independently of any verdict-tier failure: pull and
-	// merge each divergent leaf whole.
-	err = sy.walk(ctx, peer, true, "", func(leaf string) error {
-		seg, err := peer.PullMemoLeaf(ctx, leaf)
-		if err != nil {
-			return err
+		if ist.Refused > 0 {
+			sy.logf("cluster: sync: refused %d NO records from %s", ist.Refused, peer.Node())
 		}
-		ist, err := sy.Store.ImportMemoFrames(seg)
-		if err != nil {
-			return fmt.Errorf("importing memo leaf %q from %s: %w", leaf, peer.Node(), err)
+		st.Pulls++
+		st.Records += ist.Imported
+		if sy.OnPull != nil {
+			sy.OnPull(int64(ist.Imported))
 		}
-		if ist.Dropped {
-			sy.logf("cluster: sync: memo leaf %q from %s had a corrupt tail; kept %d-record clean prefix", leaf, peer.Node(), ist.Imported)
-		}
-		st.addPull(ist.Imported, sy.OnPull)
-		return nil
-	})
-	if err != nil {
-		fail(err)
 	}
 	return st, failed
 }
 
-// walk descends the peer's tree for one tier (memo selects which)
-// from prefix and calls leaf for every leaf whose (count, digest)
-// differs from the local one. Children the peer has empty are skipped
-// — the protocol is pull-only; a peer missing OUR records converges
-// by pulling from us. Only valid direct children of prefix are
-// followed, each at most once, so a peer echoing prefixes back or
-// repeating them cannot make the walk loop. The walk goes on past a
-// failed subtree and returns the first error.
-func (sy *Syncer) walk(ctx context.Context, peer *Client, memo bool, prefix string, leaf func(string) error) error {
+// walk descends the peer's tree from prefix and calls leaf for every
+// leaf whose (count, digest) differs from the local one. Children the
+// peer has empty are skipped — the protocol is pull-only; a peer
+// missing OUR records converges by pulling from us. Only valid direct
+// children of prefix are followed, each at most once, so a peer
+// echoing prefixes back or repeating them cannot make the walk loop.
+// The walk goes on past a failed subtree and returns the first error.
+func (sy *Syncer) walk(ctx context.Context, peer *Client, prefix string, leaf func(string) error) error {
 	if len(prefix) == store.MerkleDepth {
 		return leaf(prefix)
 	}
-	tier := "v"
-	if memo {
-		tier = "m"
-	}
-	peerDs, err := peer.Digests(ctx, prefix, tier)
+	peerDs, err := peer.Digests(ctx, prefix)
 	if err != nil {
 		return err
 	}
-	localDs, err := sy.Store.Digests(prefix, len(prefix)+1, !memo, memo)
+	localDs, err := sy.Store.Digests(prefix, len(prefix)+1)
 	if err != nil {
 		return err
 	}
@@ -294,43 +254,14 @@ func (sy *Syncer) walk(ctx context.Context, peer *Client, memo bool, prefix stri
 			continue
 		}
 		seen[d.Prefix] = true
-		l := local[d.Prefix]
-		n, dg, ln, ldg := d.Count, d.Digest, l.Count, l.Digest
-		if memo {
-			n, dg, ln, ldg = d.MemoCount, d.MemoDigest, l.MemoCount, l.MemoDigest
-		}
-		if n == 0 || (n == ln && dg == ldg) {
+		if d.Count == 0 || d == local[d.Prefix] {
 			continue
 		}
-		if err := sy.walk(ctx, peer, memo, d.Prefix, leaf); err != nil && first == nil {
+		if err := sy.walk(ctx, peer, d.Prefix, leaf); err != nil && first == nil {
 			first = err
 		}
 	}
 	return first
-}
-
-// missingInLeaf returns the fingerprints the peer holds under one
-// leaf that this node lacks.
-func (sy *Syncer) missingInLeaf(ctx context.Context, peer *Client, leaf string) ([]string, error) {
-	peerFps, err := peer.LeafFingerprints(ctx, leaf)
-	if err != nil {
-		return nil, err
-	}
-	local, err := sy.Store.LeafFingerprints(leaf)
-	if err != nil {
-		return nil, err
-	}
-	have := make(map[string]bool, len(local))
-	for _, fp := range local {
-		have[fp] = true
-	}
-	var missing []string
-	for _, fp := range peerFps {
-		if !have[fp] {
-			missing = append(missing, fp)
-		}
-	}
-	return missing, nil
 }
 
 // Run loops SyncOnce every Interval until ctx is cancelled. The first

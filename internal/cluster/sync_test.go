@@ -20,9 +20,8 @@ import (
 // testPeer exposes a store over the cluster's wire protocol — the
 // test-side mirror of the served daemon's handlers — and counts
 // requests per endpoint. Setting mangle flips every byte of the
-// record-carrying bodies (/cluster/fetch and /cluster/memoleaf), the
-// in-flight corruption the trust tests need; endpoints named in down
-// answer 500.
+// record-carrying body (/cluster/fetch), the in-flight corruption the
+// trust tests need; endpoints named in down answer 500.
 type testPeer struct {
 	srv    *httptest.Server
 	hits   map[string]*atomic.Int64
@@ -62,8 +61,7 @@ func newPeer(t *testing.T, st *store.Store, down ...string) *testPeer {
 	}
 	handle("digests/", func(r *http.Request) (any, error) {
 		prefix := strings.TrimPrefix(r.URL.Path, "/cluster/digests/")
-		tier := r.URL.Query().Get("tier")
-		return st.Digests(prefix, len(prefix)+1, tier != "m", tier != "v")
+		return st.Digests(prefix, len(prefix)+1)
 	})
 	handle("leaf/", func(r *http.Request) (any, error) {
 		fps, err := st.LeafFingerprints(strings.TrimPrefix(r.URL.Path, "/cluster/leaf/"))
@@ -80,10 +78,6 @@ func newPeer(t *testing.T, st *store.Store, down ...string) *testPeer {
 		seg, _, err := st.ExportRecords(fps)
 		return seg, err
 	})
-	handle("memoleaf/", func(r *http.Request) (any, error) {
-		seg, _, err := st.ExportMemoPrefix(strings.TrimPrefix(r.URL.Path, "/cluster/memoleaf/"))
-		return seg, err
-	})
 	p.srv = httptest.NewServer(mux)
 	t.Cleanup(p.srv.Close)
 	return p
@@ -91,16 +85,16 @@ func newPeer(t *testing.T, st *store.Store, down ...string) *testPeer {
 
 func (p *testPeer) client(node string) *Client { return NewClient(node, p.srv.URL, time.Second) }
 
-// requireConverged asserts two stores agree on every node of both
-// tiers' trees, at every depth.
+// requireConverged asserts two stores agree on every node of the
+// tree, at every depth.
 func requireConverged(t *testing.T, a, b *store.Store) {
 	t.Helper()
 	for depth := 1; depth <= store.MerkleDepth; depth++ {
-		da, err := a.Digests("", depth, true, true)
+		da, err := a.Digests("", depth)
 		if err != nil {
 			t.Fatal(err)
 		}
-		db, err := b.Digests("", depth, true, true)
+		db, err := b.Digests("", depth)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,87 +191,6 @@ func TestSyncCorruptPullHealsNextRound(t *testing.T) {
 	requireConverged(t, src, dst)
 }
 
-// TestSyncMemoConverges pins memo-tier replication: after one sync
-// round each way, both stores hold the merged (union) signature sets
-// and their trees — memo digests included — are identical. Unlike
-// verdicts there is no first-write-wins: overlapping classes merge.
-func TestSyncMemoConverges(t *testing.T) {
-	a, b := openStore(t), openStore(t)
-	key := fmt.Sprintf("%x%063x", 5, 0x42)
-	sigsA := [][]byte{[]byte("sig-a1"), []byte("sig-shared")}
-	sigsB := [][]byte{[]byte("sig-b1"), []byte("sig-b2"), []byte("sig-shared")}
-	if err := a.PutMemo(key, []string{fmt.Sprintf("%064x", 1)}, sigsA); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.PutMemo(key, []string{fmt.Sprintf("%064x", 2)}, sigsB); err != nil {
-		t.Fatal(err)
-	}
-	// a second class only A holds, plus a verdict so both tiers move
-	keyOnlyA := fmt.Sprintf("%x%063x", 3, 0x43)
-	if err := a.PutMemo(keyOnlyA, nil, [][]byte{[]byte("lone")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Put(seedRecord(2, 1)); err != nil {
-		t.Fatal(err)
-	}
-
-	syA := &Syncer{Store: a, Peers: []*Client{newPeer(t, b).client("b")}, Logf: t.Logf}
-	syB := &Syncer{Store: b, Peers: []*Client{newPeer(t, a).client("a")}, Logf: t.Logf}
-
-	ctx := context.Background()
-	syA.SyncOnce(ctx)
-	syB.SyncOnce(ctx)
-
-	for _, st := range []*store.Store{a, b} {
-		rec, ok := st.GetMemo(key)
-		if !ok || len(rec.Sigs) != 4 { // union of {a1, shared} and {b1, b2, shared}
-			t.Fatalf("merged class: ok=%v sigs=%d, want 4", ok, len(rec.Sigs))
-		}
-		if len(rec.Fingerprints) != 2 {
-			t.Fatalf("fingerprint union: %v", rec.Fingerprints)
-		}
-		if _, ok := st.GetMemo(keyOnlyA); !ok {
-			t.Fatal("one-sided class not replicated")
-		}
-	}
-	requireConverged(t, a, b)
-	// quiescent round: converged replicas pull nothing
-	if rs := syA.SyncOnce(ctx); rs.Pulls != 0 || rs.Records != 0 {
-		t.Fatalf("quiescent round pulled %d/%d", rs.Pulls, rs.Records)
-	}
-}
-
-// TestSyncMemoPoisonedSegmentDropped pins the trustless import: a memo
-// leaf segment mangled in flight contributes nothing (every byte
-// flipped → empty clean prefix), the local store stays intact, and
-// the next clean round heals.
-func TestSyncMemoPoisonedSegmentDropped(t *testing.T) {
-	src, dst := openStore(t), openStore(t)
-	key := fmt.Sprintf("%x%063x", 9, 0x51)
-	if err := src.PutMemo(key, nil, [][]byte{[]byte("deep-refutation")}); err != nil {
-		t.Fatal(err)
-	}
-	peer := newPeer(t, src)
-	peer.mangle.Store(true)
-	sy := &Syncer{Store: dst, Peers: []*Client{peer.client("src")}, Logf: t.Logf}
-
-	ctx := context.Background()
-	sy.SyncOnce(ctx)
-	if dst.MemoLen() != 0 {
-		t.Fatalf("poisoned round imported %d memo classes", dst.MemoLen())
-	}
-	if peer.hits["memoleaf/"].Load() == 0 {
-		t.Fatal("poisoned round never reached the memo leaf pull")
-	}
-
-	peer.mangle.Store(false)
-	sy.SyncOnce(ctx)
-	rec, ok := dst.GetMemo(key)
-	if !ok || len(rec.Sigs) != 1 {
-		t.Fatalf("healing round: ok=%v rec=%+v", ok, rec)
-	}
-}
-
 func TestSyncDeadPeerSkipped(t *testing.T) {
 	dst := openStore(t)
 	if err := dst.Put(seedRecord(1, 1)); err != nil {
@@ -296,9 +209,9 @@ func TestSyncDeadPeerSkipped(t *testing.T) {
 }
 
 // TestSyncMerkleDeltaPull pins the protocol: a nearly-converged store
-// pulls exactly its missing records by walking the tree, both tiers
+// pulls exactly its missing records by walking the tree, the trees
 // converge, and a second round is a no-op that stops at the top level
-// — one digests request per tier.
+// — one digests request.
 func TestSyncMerkleDeltaPull(t *testing.T) {
 	src, dst := openStore(t), openStore(t)
 	for i := 0; i < 50; i++ {
@@ -312,26 +225,23 @@ func TestSyncMerkleDeltaPull(t *testing.T) {
 			}
 		}
 	}
-	if err := src.PutMemo(fmt.Sprintf("%x%063x", 6, 0x99), nil, [][]byte{[]byte("sig")}); err != nil {
-		t.Fatal(err)
-	}
 	peer := newPeer(t, src)
 	hits := peer.hits
 	sy := &Syncer{Store: dst, Peers: []*Client{peer.client("src")}, Logf: t.Logf}
 
 	rs := sy.SyncOnce(context.Background())
-	if rs.Records != 26 || rs.Failures != 0 { // 25 verdicts + 1 memo class
-		t.Fatalf("delta round: %+v, want 26 records", rs)
+	if rs.Records != 25 || rs.Failures != 0 {
+		t.Fatalf("delta round: %+v, want 25 records", rs)
 	}
-	if dst.Len() != 50 || dst.MemoLen() != 1 {
-		t.Fatalf("after delta round: len=%d memo=%d", dst.Len(), dst.MemoLen())
+	if dst.Len() != 50 {
+		t.Fatalf("after delta round: len=%d", dst.Len())
 	}
-	if hits["fetch"].Load() == 0 || hits["leaf/"].Load() == 0 || hits["memoleaf/"].Load() == 0 {
-		t.Fatalf("delta endpoints unused: fetch=%d leaf=%d memoleaf=%d", hits["fetch"].Load(), hits["leaf/"].Load(), hits["memoleaf/"].Load())
+	if hits["fetch"].Load() == 0 || hits["leaf/"].Load() == 0 {
+		t.Fatalf("delta endpoints unused: fetch=%d leaf=%d", hits["fetch"].Load(), hits["leaf/"].Load())
 	}
 	requireConverged(t, src, dst)
 
-	// quiescent round: equal top levels stop both walks at the root
+	// quiescent round: equal top levels stop the walk at the root
 	before := map[string]int64{}
 	for k, c := range hits {
 		before[k] = c.Load()
@@ -343,36 +253,11 @@ func TestSyncMerkleDeltaPull(t *testing.T) {
 	for k, c := range hits {
 		want := before[k]
 		if k == "digests/" {
-			want += 2
+			want++
 		}
 		if got := c.Load(); got != want {
 			t.Fatalf("quiescent round: %d %s requests, want %d", got-before[k], k, want-before[k])
 		}
-	}
-}
-
-// TestSyncTiersFailIndependently pins that a peer whose verdict
-// endpoints are down still replicates its memo tier in the same
-// round.
-func TestSyncTiersFailIndependently(t *testing.T) {
-	src, dst := openStore(t), openStore(t)
-	if err := src.Put(seedRecord(3, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := src.PutMemo(fmt.Sprintf("%x%063x", 3, 0x88), nil, [][]byte{[]byte("sig")}); err != nil {
-		t.Fatal(err)
-	}
-	peer := newPeer(t, src, "leaf/", "fetch")
-	sy := &Syncer{Store: dst, Peers: []*Client{peer.client("src")}, Logf: t.Logf}
-	rs := sy.SyncOnce(context.Background())
-	if rs.Failures != 1 {
-		t.Fatalf("round stats: %+v, want the verdict failure counted", rs)
-	}
-	if dst.MemoLen() != 1 {
-		t.Fatalf("memo tier deferred by a verdict failure: memo=%d, want 1", dst.MemoLen())
-	}
-	if dst.Len() != 0 {
-		t.Fatalf("verdict appeared through a dead endpoint: len=%d", dst.Len())
 	}
 }
 
@@ -440,8 +325,8 @@ func TestSyncPeerFailureBackoff(t *testing.T) {
 	}
 }
 
-// TestSyncParallelPeersConverge runs one round against several Merkle
-// peers with bounded concurrency and checks the union lands.
+// TestSyncParallelPeersConverge runs one round against more Merkle
+// peers than it syncs at once and checks the union lands.
 func TestSyncParallelPeersConverge(t *testing.T) {
 	dst := openStore(t)
 	var peers []*Client
@@ -454,7 +339,7 @@ func TestSyncParallelPeersConverge(t *testing.T) {
 		}
 		peers = append(peers, newPeer(t, src).client(fmt.Sprintf("p%d", p)))
 	}
-	sy := &Syncer{Store: dst, Peers: peers, Concurrency: 2, Logf: t.Logf}
+	sy := &Syncer{Store: dst, Peers: peers, Logf: t.Logf}
 	rs := sy.SyncOnce(context.Background())
 	if rs.Failures != 0 || rs.Peers != 5 || dst.Len() != 20 {
 		t.Fatalf("parallel round: %+v len=%d, want 5 peers 20 records", rs, dst.Len())
@@ -467,7 +352,7 @@ func TestSyncParallelPeersConverge(t *testing.T) {
 // one divergent child listed twice, a grandchild, a non-hex node and
 // a sibling's child. Following the echo would recurse until the round's
 // deadline; the walk instead takes the single child path down to one
-// leaf per tier.
+// leaf.
 func TestSyncEchoingPeerTerminates(t *testing.T) {
 	var digests, leaves atomic.Int64
 	mux := http.NewServeMux()
@@ -475,7 +360,7 @@ func TestSyncEchoingPeerTerminates(t *testing.T) {
 		digests.Add(1)
 		prefix := strings.TrimPrefix(r.URL.Path, "/cluster/digests/")
 		node := func(p string) store.PrefixDigest {
-			return store.PrefixDigest{Prefix: p, Count: 1, Digest: "ee", MemoCount: 1, MemoDigest: "ee"}
+			return store.PrefixDigest{Prefix: p, Count: 1, Digest: "ee"}
 		}
 		ds := []store.PrefixDigest{node(prefix), node(prefix + "0"), node(prefix + "0"), node(prefix + "00"), node(prefix + "x")}
 		if prefix != "" {
@@ -487,9 +372,6 @@ func TestSyncEchoingPeerTerminates(t *testing.T) {
 		leaves.Add(1)
 		io.WriteString(w, "[]")
 	})
-	mux.HandleFunc("/cluster/memoleaf/", func(w http.ResponseWriter, r *http.Request) {
-		leaves.Add(1)
-	})
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 
@@ -500,31 +382,29 @@ func TestSyncEchoingPeerTerminates(t *testing.T) {
 	if ctx.Err() != nil {
 		t.Fatalf("round ran into its deadline after %d digests requests", digests.Load())
 	}
-	// one digests request per interior level and one leaf pull, per tier
-	if got, want := digests.Load(), int64(2*store.MerkleDepth); got != want {
+	// one digests request per interior level and one leaf pull
+	if got, want := digests.Load(), int64(store.MerkleDepth); got != want {
 		t.Fatalf("%d digests requests, want %d", got, want)
 	}
-	if got := leaves.Load(); got != 2 {
-		t.Fatalf("%d leaf pulls, want 2", got)
+	if got := leaves.Load(); got != 1 {
+		t.Fatalf("%d leaf pulls, want 1", got)
 	}
 }
 
 // TestSyncNearlyConvergedWireCost pins what delta replication buys.
-// Nearly-converged stores (10k records with 1, 8 or 32 divergent
-// verdicts, or 2k memo classes with 8 divergent) converge in one round
-// to identical digests at every depth. The bytes on the wire stay at
-// least 10x below a full ExportRecords (and ExportMemoPrefix) of the
-// divergent top-level nodes — the segments a whole-subtree pull would
-// move.
+// Nearly-converged stores (10k feasible records with 1, 8 or 32
+// divergent) converge in one round to identical digests at every
+// depth. The bytes on the wire stay at least 10x below a full
+// ExportRecords of the divergent top-level nodes — the segments a
+// whole-subtree pull would move.
 func TestSyncNearlyConvergedWireCost(t *testing.T) {
 	cases := []struct {
-		name                             string
-		divergent, memos, memosDivergent int
+		name      string
+		divergent int
 	}{
-		{"verdicts-1-of-10k", 1, 0, 0},
-		{"verdicts-8-of-10k", 8, 0, 0},
-		{"verdicts-32-of-10k", 32, 0, 0},
-		{"memo-8-of-2k", 0, 2000, 8},
+		{"verdicts-1-of-10k", 1},
+		{"verdicts-8-of-10k", 8},
+		{"verdicts-32-of-10k", 32},
 	}
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -536,7 +416,7 @@ func TestSyncNearlyConvergedWireCost(t *testing.T) {
 			}
 			src, dst := openStore(t), openStore(t)
 			for i := 0; i < 10_000; i++ {
-				rec := &store.Record{Fingerprint: randFp(), Elements: 3, Source: "exact"}
+				rec := &store.Record{Fingerprint: randFp(), Feasible: true, Elements: 3, Slots: []int{0, 1, 2}, Source: "exact"}
 				if err := src.Put(rec); err != nil {
 					t.Fatal(err)
 				}
@@ -546,26 +426,12 @@ func TestSyncNearlyConvergedWireCost(t *testing.T) {
 					}
 				}
 			}
-			for i := 0; i < tc.memos; i++ {
-				key := randFp()
-				sigs := [][]byte{make([]byte, 24), make([]byte, 24)}
-				rng.Read(sigs[0])
-				rng.Read(sigs[1])
-				if err := src.PutMemo(key, nil, sigs); err != nil {
-					t.Fatal(err)
-				}
-				if i >= tc.memosDivergent {
-					if err := dst.PutMemo(key, nil, sigs); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
 
 			whole := wholeNodeExportBytes(t, src, dst)
 			cli := newPeer(t, src).client("src")
 			sy := &Syncer{Store: dst, Peers: []*Client{cli}, Logf: t.Logf}
-			if rs := sy.SyncOnce(context.Background()); rs.Failures != 0 || rs.Records != tc.divergent+tc.memosDivergent {
-				t.Fatalf("round: %+v, want %d records", rs, tc.divergent+tc.memosDivergent)
+			if rs := sy.SyncOnce(context.Background()); rs.Failures != 0 || rs.Records != tc.divergent {
+				t.Fatalf("round: %+v, want %d records", rs, tc.divergent)
 			}
 			requireConverged(t, src, dst)
 			wire := cli.BytesRx() + cli.BytesTx()
@@ -578,14 +444,14 @@ func TestSyncNearlyConvergedWireCost(t *testing.T) {
 }
 
 // wholeNodeExportBytes sizes a full export, from src, of every
-// top-level node whose digest differs between src and dst, per tier.
+// top-level node whose digest differs between src and dst.
 func wholeNodeExportBytes(t *testing.T, src, dst *store.Store) int64 {
 	t.Helper()
-	sd, err := src.Digests("", 1, true, true)
+	sd, err := src.Digests("", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dd, err := dst.Digests("", 1, true, true)
+	dd, err := dst.Digests("", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -595,27 +461,60 @@ func wholeNodeExportBytes(t *testing.T, src, dst *store.Store) int64 {
 	}
 	var total int64
 	for _, d := range sd {
-		l := local[d.Prefix]
-		if d.Digest != l.Digest {
-			var fps []string
-			for _, fp := range src.Fingerprints() {
-				if strings.HasPrefix(fp, d.Prefix) {
-					fps = append(fps, fp)
-				}
-			}
-			seg, _, err := src.ExportRecords(fps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			total += int64(len(seg))
+		if d.Digest == local[d.Prefix].Digest {
+			continue
 		}
-		if d.MemoDigest != l.MemoDigest {
-			seg, _, err := src.ExportMemoPrefix(d.Prefix)
-			if err != nil {
-				t.Fatal(err)
+		var fps []string
+		for _, fp := range src.Fingerprints() {
+			if strings.HasPrefix(fp, d.Prefix) {
+				fps = append(fps, fp)
 			}
-			total += int64(len(seg))
 		}
+		seg, _, err := src.ExportRecords(fps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += int64(len(seg))
 	}
 	return total
+}
+
+// TestSyncKeepsNosLocal pins the trust rule at the protocol level. A
+// peer's NO is not in its tree, so a round never fetches it. And a
+// fingerprint this node holds as a NO is never fetched from a peer
+// that holds it as feasible, though that leaf's digests never agree:
+// the import would refuse nothing but skip it, round after round.
+func TestSyncKeepsNosLocal(t *testing.T) {
+	src, dst := openStore(t), openStore(t)
+	yes, peerNo, localNo := seedRecord(4, 1), seedRecord(4, 2), seedRecord(4, 3)
+	peerNo.Feasible, peerNo.Slots = false, nil
+	for _, r := range []*store.Record{yes, peerNo, localNo} {
+		if err := src.Put(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mine := *localNo
+	mine.Feasible, mine.Slots = false, nil
+	if err := dst.Put(&mine); err != nil {
+		t.Fatal(err)
+	}
+	peer := newPeer(t, src)
+	sy := &Syncer{Store: dst, Peers: []*Client{peer.client("src")}, Logf: t.Logf}
+	for round := 0; round < 2; round++ {
+		if rs := sy.SyncOnce(context.Background()); rs.Failures != 0 {
+			t.Fatalf("round %d: %+v", round, rs)
+		}
+	}
+	if _, ok := dst.Get(peerNo.Fingerprint); ok {
+		t.Fatal("the peer's NO replicated")
+	}
+	if got, _ := dst.Get(localNo.Fingerprint); got.Feasible {
+		t.Fatal("the local NO was replaced by the peer's record")
+	}
+	if _, ok := dst.Get(yes.Fingerprint); !ok || dst.Len() != 2 {
+		t.Fatalf("feasible record not replicated: len=%d", dst.Len())
+	}
+	if got := peer.hits["fetch"].Load(); got != 1 {
+		t.Fatalf("%d fetches over two rounds, want 1: the local NO was re-fetched", got)
+	}
 }

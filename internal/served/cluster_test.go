@@ -186,16 +186,25 @@ func fastBurstClasses() []burstClass {
 		{2, 3, 6}, {2, 4, 4}, {3, 3, 3}, {4, 4, 4, 4},
 		{2, 4, 6, 12}, {2, 3, 9, 18}, {3, 4, 4, 6}, {2, 5, 5, 10},
 	}
-	var out []burstClass
-	add := func(w int, ds []int) {
+	return append(soakClasses("burst", 2, sets), soakClasses("burst3-", 3, sets[:4])...)
+}
+
+// feasibleClasses renders twelve unit-weight classes of density at
+// most 1 that exact search proves feasible in well under a
+// millisecond each.
+func feasibleClasses() []burstClass {
+	return soakClasses("feasible", 1, [][]int{
+		{2, 4, 4}, {3, 3, 3}, {4, 4, 4, 4}, {2, 4, 8}, {3, 6, 6}, {4, 4, 8, 8},
+		{2, 8, 8, 8}, {2, 4, 8, 8}, {3, 3, 6, 6}, {2, 6, 6, 6}, {4, 4, 4, 8, 8}, {3, 6, 6, 6, 6},
+	})
+}
+
+// soakClasses renders one soakInstance class per deadline set.
+func soakClasses(name string, w int, sets [][]int) []burstClass {
+	out := make([]burstClass, len(sets))
+	for i, ds := range sets {
 		m := soakInstance(w, ds)
-		out = append(out, burstClass{m, spec.Print(fmt.Sprintf("burst%d", len(out)), m), core.Fingerprint(m)})
-	}
-	for _, ds := range sets {
-		add(2, ds)
-	}
-	for _, ds := range sets[:4] {
-		add(3, ds)
+		out[i] = burstClass{m, spec.Print(fmt.Sprintf("%s%d", name, i), m), core.Fingerprint(m)}
 	}
 	return out
 }
@@ -269,15 +278,18 @@ func TestClusterOwnerDownFallback(t *testing.T) {
 }
 
 // TestClusterWarmFleet is acceptance (a) at the daemon level: every
-// class decided on its owner is served by both non-owners from their
-// stores after one sync round, with zero new exact searches fleet-wide.
+// feasible class decided on its owner is served by both non-owners
+// from their stores after one sync round, with zero new exact searches
+// fleet-wide. A NO that exhaustion decided stays on its owner: no
+// non-owner could check it, so none holds it after the sync.
 func TestClusterWarmFleet(t *testing.T) {
 	// analysis and heuristic off: every cold decide is an exact search,
 	// so "searches" counts exactly the NP-hard work done
 	nodes := newFleet(t, 3, func(st *store.Store) service.Options {
 		return service.Options{Store: st, DisableAnalysis: true, DisableHeuristic: true}
 	})
-	classes := fastBurstClasses()
+	no := fastBurstClasses()[0]
+	classes := append(feasibleClasses(), no)
 
 	// seed each class on its owner, pinned local by the forward marker
 	owners := make([]*testNode, len(classes))
@@ -310,9 +322,19 @@ func TestClusterWarmFleet(t *testing.T) {
 		sy.SyncOnce(context.Background())
 	}
 
-	// both non-owners now serve every class locally; the renamed
-	// isomorphic surface proves it is class-level warmth
-	for i, c := range classes {
+	for _, n := range nodes {
+		rec, ok := n.st.Get(no.fp)
+		switch owner := owners[len(classes)-1]; {
+		case n == owner && (!ok || rec.Feasible):
+			t.Fatalf("owner %s lost its exhaustion NO: %+v", n.id, rec)
+		case n != owner && ok:
+			t.Fatalf("non-owner %s holds the exhaustion NO after the sync", n.id)
+		}
+	}
+
+	// both non-owners now serve every feasible class locally; the
+	// renamed isomorphic surface proves it is class-level warmth
+	for i, c := range classes[:len(classes)-1] {
 		surf := spec.Print(fmt.Sprintf("iso%d", i), renameSurface(rand.New(rand.NewSource(int64(i))), c.m))
 		for _, n := range nodes {
 			if n == owners[i] {
@@ -413,7 +435,7 @@ func TestClusterManifestEndpoints(t *testing.T) {
 	}
 
 	cli := cluster.NewClient(a.id, a.srv.URL, 2*time.Second)
-	top, err := cli.Digests(context.Background(), "", "")
+	top, err := cli.Digests(context.Background(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,11 +466,11 @@ func TestClusterMerkleEndpoints(t *testing.T) {
 	// walk the single record from the root down to its leaf
 	prefix := ""
 	for depth := 1; depth <= store.MerkleDepth; depth++ {
-		ds, err := cli.Digests(ctx, prefix, "v")
+		ds, err := cli.Digests(ctx, prefix)
 		if err != nil {
 			t.Fatalf("digests %q depth %d: %v", prefix, depth, err)
 		}
-		if len(ds) != 1 || ds[0].Count != 1 || ds[0].Digest == "" || ds[0].MemoDigest != "" {
+		if len(ds) != 1 || ds[0].Count != 1 || ds[0].Digest == "" {
 			t.Fatalf("digests %q depth %d: %+v", prefix, depth, ds)
 		}
 		prefix = ds[0].Prefix
@@ -471,17 +493,10 @@ func TestClusterMerkleEndpoints(t *testing.T) {
 	if seg, err = cli.FetchRecords(ctx, []string{strings.Repeat("0", 64)}); err != nil || len(seg) != 0 {
 		t.Fatalf("unknown-fp fetch: seg=%d err=%v", len(seg), err)
 	}
-	// memo leaf of an empty prefix: empty segment, no error
-	if seg, err = cli.PullMemoLeaf(ctx, "fff"); err != nil || len(seg) != 0 {
-		t.Fatalf("empty memo leaf: seg=%d err=%v", len(seg), err)
-	}
-
 	for _, bad := range []string{
-		"/cluster/digests/xyz",     // non-hex prefix
-		"/cluster/digests/fff",     // a leaf has no children
-		"/cluster/digests/?tier=x", // unknown tier
-		"/cluster/leaf/ab",         // not a leaf-depth prefix
-		"/cluster/memoleaf/",       // root: whole-store memo export refused
+		"/cluster/digests/xyz", // non-hex prefix
+		"/cluster/digests/fff", // a leaf has no children
+		"/cluster/leaf/ab",     // not a leaf-depth prefix
 	} {
 		resp, err := http.Get(a.srv.URL + bad)
 		if err != nil {

@@ -65,11 +65,12 @@ func TestRoutes(t *testing.T) {
 		{true, "GET", "/healthz", 200, text, "ok\n"},
 		{true, "GET", "/cluster/digests/", 200, "application/json", "*"},
 		{true, "GET", "/cluster/digests/a", 200, "application/json", "*"},
+		{true, "GET", "/cluster/digests/?tier=x", 200, "application/json", "*"},
 		{true, "POST", "/cluster/digests/", 405, text, "GET /cluster/digests/<prefix>\n"},
 		{true, "GET", "/cluster/digests", 404, text, notFound},
 		{true, "GET", "/cluster/leaf/abc", 200, "application/json", "*"},
 		{true, "GET", "/cluster/leaf/", 400, text, "*"},
-		{true, "GET", "/cluster/memoleaf/abc", 200, "application/octet-stream", ""},
+		{true, "GET", "/cluster/memoleaf/abc", 404, text, notFound},
 		{true, "POST", "/cluster/fetch", 200, "*", "*"},
 		{true, "GET", "/cluster/fetch", 405, text, "POST /cluster/fetch\n"},
 		{true, "GET", "/cluster/fetch/", 404, text, notFound},

@@ -12,9 +12,9 @@
 // fingerprint-sharded peer protocol: non-owner nodes proxy /schedule
 // and /job requests to the shard owner (one hop max, with graceful
 // fallback to a local solve when the owner is unreachable), and the
-// /cluster/digests/<prefix>, /cluster/leaf/<prefix>, /cluster/fetch
-// and /cluster/memoleaf/<prefix> endpoints serve the store's Merkle
-// tree and records for anti-entropy replication.
+// /cluster/digests/<prefix>, /cluster/leaf/<prefix> and /cluster/fetch
+// endpoints serve the store's Merkle tree and feasible records for
+// anti-entropy replication.
 package served
 
 import (
@@ -45,8 +45,8 @@ type Cluster struct {
 	// Peers maps peer node IDs (never NodeID) to their clients.
 	Peers map[string]*cluster.Client
 	// Store, when non-nil, is served to peers at the /cluster/digests,
-	// /cluster/leaf, /cluster/fetch and /cluster/memoleaf endpoints
-	// for anti-entropy replication.
+	// /cluster/leaf and /cluster/fetch endpoints for anti-entropy
+	// replication.
 	Store *store.Store
 }
 
@@ -121,8 +121,6 @@ func (d *Daemon) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		d.handleLeaf(w, r)
 	case path == "/cluster/fetch":
 		d.handleFetch(w, r)
-	case strings.HasPrefix(path, "/cluster/memoleaf/"):
-		d.handleMemoLeaf(w, r)
 	default:
 		http.NotFound(w, r)
 	}

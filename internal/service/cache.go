@@ -78,15 +78,14 @@ func (e *entry) storeVerified(digest string, v *verified) {
 
 // lruCache is a bounded LRU over canonical fingerprints. Not safe for
 // concurrent use; each cache shard guards its own with the shard
-// mutex.
+// mutex. Its zero value with cap set is ready: the list's zero value
+// is an empty list, and items is made on the first add (a nil map
+// reads as empty), so a service that is built and dropped allocates
+// nothing per shard.
 type lruCache struct {
 	cap   int
-	order *list.List               // front = most recent; values are *entry
+	order list.List                // front = most recent; values are *entry
 	items map[string]*list.Element //
-}
-
-func newLRUCache(capacity int) *lruCache {
-	return &lruCache{cap: capacity, order: list.New(), items: make(map[string]*list.Element)}
 }
 
 // get returns the entry for key (touching it) or nil.
@@ -106,6 +105,9 @@ func (c *lruCache) add(e *entry) int {
 		el.Value = e
 		c.order.MoveToFront(el)
 		return 0
+	}
+	if c.items == nil {
+		c.items = make(map[string]*list.Element)
 	}
 	c.items[e.key] = c.order.PushFront(e)
 	evicted := 0
@@ -138,16 +140,16 @@ func (c *lruCache) len() int { return c.order.Len() }
 // never contend on a lock.
 type cacheShard struct {
 	mu        sync.Mutex
-	lru       *lruCache
-	flight    map[string]*call
-	gen       uint64       // last generation stamped on an entry entering this shard's LRU
-	evictions atomic.Int64 // entries this shard displaced (summed into Metrics.Evictions too)
+	lru       lruCache
+	flight    map[string]*call // made on the first miss
+	gen       uint64           // last generation stamped on an entry entering this shard's LRU
+	evictions atomic.Int64     // entries this shard displaced (summed into Metrics.Evictions too)
 }
 
 // shardedCache spreads the LRU + flight table over a power-of-two
 // number of shards keyed by fingerprint hash.
 type shardedCache struct {
-	shards []*cacheShard
+	shards []cacheShard
 }
 
 // newShardedCache builds nshards shards (rounded up to a power of
@@ -165,9 +167,9 @@ func newShardedCache(totalCap, nshards int) *shardedCache {
 	if per < 1 {
 		per = 1
 	}
-	c := &shardedCache{shards: make([]*cacheShard, pow)}
+	c := &shardedCache{shards: make([]cacheShard, pow)}
 	for i := range c.shards {
-		c.shards[i] = &cacheShard{lru: newLRUCache(per), flight: make(map[string]*call)}
+		c.shards[i].lru.cap = per
 	}
 	return c
 }
@@ -179,7 +181,7 @@ func (c *shardedCache) shard(key string) *cacheShard {
 	for i := 0; i < len(key); i++ {
 		h = (h ^ uint64(key[i])) * 1099511628211
 	}
-	return c.shards[h&uint64(len(c.shards)-1)]
+	return &c.shards[h&uint64(len(c.shards)-1)]
 }
 
 // len sums the resident entries across shards. Each shard is read
@@ -187,7 +189,8 @@ func (c *shardedCache) shard(key string) *cacheShard {
 // concurrent mutation is in flight (like any sharded gauge).
 func (c *shardedCache) len() int {
 	n := 0
-	for _, sh := range c.shards {
+	for i := range c.shards {
+		sh := &c.shards[i]
 		sh.mu.Lock()
 		n += sh.lru.len()
 		sh.mu.Unlock()
@@ -198,8 +201,8 @@ func (c *shardedCache) len() int {
 // evictionsByShard returns the per-shard eviction counters.
 func (c *shardedCache) evictionsByShard() []int64 {
 	out := make([]int64, len(c.shards))
-	for i, sh := range c.shards {
-		out[i] = sh.evictions.Load()
+	for i := range c.shards {
+		out[i] = c.shards[i].evictions.Load()
 	}
 	return out
 }

@@ -51,7 +51,8 @@ func TestShardEvictionAccounting(t *testing.T) {
 	if got := svc.CacheLen(); got > 8 {
 		t.Fatalf("cache holds %d entries, cap is 8", got)
 	}
-	for i, sh := range svc.cache.shards {
+	for i := range svc.cache.shards {
+		sh := &svc.cache.shards[i]
 		sh.mu.Lock()
 		n := sh.lru.len()
 		sh.mu.Unlock()

@@ -11,14 +11,11 @@ import (
 	"rtm/internal/trace"
 )
 
-// bucketRecord builds a valid record pinned to a top-level tree node
-// (one of the root's 16 children) via the fingerprint's leading
-// nibble.
+// bucketRecord builds a valid feasible record — the only kind the tree
+// holds — pinned to a top-level tree node (one of the root's 16
+// children) via the fingerprint's leading nibble.
 func bucketRecord(bucket, i int) *Record {
 	fp := fmt.Sprintf("%x%063x", bucket, i+1)
-	if i%3 == 2 {
-		return &Record{Fingerprint: fp, Feasible: false, Elements: 2, Source: "exact"}
-	}
 	return &Record{
 		Fingerprint: fp, Feasible: true, Elements: 3,
 		Slots: []int{0, -1, i % 3, 1}, Source: "heuristic", Unix: 1754_000_000,
@@ -53,7 +50,7 @@ func TestManifestShape(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	top, err := s.Digests("", 1, true, true)
+	top, err := s.Digests("", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,12 +62,12 @@ func TestManifestShape(t *testing.T) {
 		if d.Count != counts[d.Prefix] {
 			t.Fatalf("node %q count = %d, want %d", d.Prefix, d.Count, counts[d.Prefix])
 		}
-		if len(d.Digest) != 2*sha256.Size || d.MemoCount != 0 || d.MemoDigest != "" {
-			t.Fatalf("node %q: %+v, want a full-width verdict digest and no memo tier", d.Prefix, d)
+		if len(d.Digest) != 2*sha256.Size {
+			t.Fatalf("node %q: %+v, want a full-width digest", d.Prefix, d)
 		}
 	}
 	for depth := 2; depth <= MerkleDepth; depth++ {
-		ds, err := s.Digests("", depth, true, false)
+		ds, err := s.Digests("", depth)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +111,7 @@ func TestManifestDigestStableAcrossOrderings(t *testing.T) {
 		}
 		var levels [][]PrefixDigest
 		for depth := 1; depth <= MerkleDepth; depth++ {
-			ds, err := s.Digests("", depth, true, true)
+			ds, err := s.Digests("", depth)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -268,5 +265,87 @@ func TestImportFirstWriteWins(t *testing.T) {
 	got, _ := local.Get(mine.Fingerprint)
 	if !sameRecord(got, mine) {
 		t.Fatalf("import overwrote the local record: %+v", got)
+	}
+}
+
+// TestNoRecordsStayLocal pins the replication trust rule in the store:
+// a NO is served from the node that decided it but never enters the
+// Merkle tree, a fetch, or — from a peer — the index, whatever its
+// Source. A fingerprint held as a NO still counts as present, so a
+// peer's feasible record for it is not fetched round after round.
+func TestNoRecordsStayLocal(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir)
+	yes := bucketRecord(6, 1)
+	no := &Record{Fingerprint: bucketRecord(6, 2).Fingerprint, Elements: 3, Source: "exact"}
+	for _, r := range []*Record{yes, no} {
+		if err := s.Put(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	unknown := bucketRecord(6, 3).Fingerprint
+	tree := func(step string, want ...string) {
+		t.Helper()
+		ds, err := s.Digests("", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ds) != 1 || ds[0].Count != len(want) {
+			t.Fatalf("%s: top level %+v, want one node of %d", step, ds, len(want))
+		}
+		leaf, err := s.LeafFingerprints(yes.Fingerprint[:MerkleDepth])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(leaf) != fmt.Sprint(want) {
+			t.Fatalf("%s: leaf holds %v, want %v", step, leaf, want)
+		}
+		if _, n, err := s.ExportRecords([]string{no.Fingerprint, yes.Fingerprint}); err != nil || n != len(want) {
+			t.Fatalf("%s: exported %d records (%v), want %d", step, n, err, len(want))
+		}
+	}
+	tree("put", yes.Fingerprint)
+	if got, ok := s.Get(no.Fingerprint); !ok || got.Feasible {
+		t.Fatalf("local NO not served: %+v", got)
+	}
+	if got := s.Missing([]string{no.Fingerprint, unknown, yes.Fingerprint}); fmt.Sprint(got) != fmt.Sprint([]string{unknown}) {
+		t.Fatalf("Missing = %v, want only the unknown fingerprint", got)
+	}
+
+	// a verdict that flips moves the fingerprint in and out of the tree
+	flipped := bucketRecord(6, 2)
+	if err := s.Put(flipped); err != nil {
+		t.Fatal(err)
+	}
+	tree("flip to feasible", yes.Fingerprint, no.Fingerprint)
+	if err := s.Put(no); err != nil {
+		t.Fatal(err)
+	}
+	tree("flip back to NO", yes.Fingerprint)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s = openT(t, dir)
+	tree("reopen", yes.Fingerprint)
+
+	// from a peer, every NO is refused whatever its Source
+	var seg []byte
+	for _, r := range []*Record{
+		{Fingerprint: unknown, Elements: 3, Source: "analysis"},
+		{Fingerprint: bucketRecord(6, 4).Fingerprint, Elements: 3, Source: "exact"},
+		bucketRecord(6, 5),
+	} {
+		payload, err := trace.EncodeStoreRecord(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg = append(seg, mustFrame(t, payload)...)
+	}
+	st, err := s.ImportFrames(seg)
+	if err != nil || st.Imported != 1 || st.Refused != 2 || st.Dropped {
+		t.Fatalf("import: %+v (%v), want 1 imported and 2 refused", st, err)
+	}
+	if s.Len() != 3 {
+		t.Fatalf("store holds %d records after the import, want 3", s.Len())
 	}
 }

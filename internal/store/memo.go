@@ -2,9 +2,7 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"sort"
 
 	"rtm/internal/trace"
@@ -27,13 +25,15 @@ import (
 // followed by keep-the-cap-largest truncation (signatures sort
 // descending; the first encoded field is the remaining-subtree size),
 // which is order-independent — merging A then B equals merging B then
-// A — so anti-entropy replication converges regardless of pull order.
+// A.
 //
-// Soundness is inherited, not enforced: a seeded signature prunes a
-// subtree only on an exact byte match against the search's own
-// signature builder, so a corrupt, truncated, or malicious record that
-// survives CRC and structural validation can cost wasted table memory,
-// never a verdict (the poisoned-seed differential test pins this).
+// The memo tier is local: it is not replicated, because no receiver
+// could check a refutation seed short of redoing the search it saves.
+// memo.log is trusted behind its CRC framing like store.log. A seeded
+// signature prunes a subtree only on an exact byte match against the
+// search's own signature builder, so a damaged record that survives
+// CRC and structural validation costs wasted table memory (the
+// poisoned-seed differential test pins this).
 
 // MemoRecord is the memo tier's record type — the trace wire form, so
 // external tooling can decode memo segments with the same schema.
@@ -44,9 +44,8 @@ const memoLogName = "memo.log"
 
 // DefaultMemoSigCap bounds the signatures kept per memo class when
 // Options.MemoSigCap is zero. At typical signature sizes (tens of
-// bytes) a full class costs ~200 KB framed — small enough to pull
-// whole leaves during sync, large enough to hold every refutation the
-// bench workloads derive.
+// bytes) a full class costs ~200 KB framed — small, and large enough
+// to hold every refutation the bench workloads derive.
 const DefaultMemoSigCap = 4096
 
 func (s *Store) sigCap() int {
@@ -67,7 +66,6 @@ func (s *Store) indexMemoLocked(rec *MemoRecord, n int64) {
 		}
 	}
 	s.memo[rec.Key] = rec
-	s.mleaf.touch(rec.Key)
 	s.frameLen[rec.Key] = n
 	s.memoLive += n
 	for _, fp := range rec.Fingerprints {
@@ -81,36 +79,29 @@ func (s *Store) indexMemoLocked(rec *MemoRecord, n int64) {
 // nothing is a no-op that writes no byte. The merged signature set is
 // the union truncated to the per-class cap, largest first.
 func (s *Store) PutMemo(key string, fps []string, sigs [][]byte) error {
-	_, err := s.putMemo(key, fps, sigs)
-	return err
-}
-
-func (s *Store) putMemo(key string, fps []string, sigs [][]byte) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return false, fmt.Errorf("store: closed")
+		return fmt.Errorf("store: closed")
 	}
 	old := s.memo[key]
 	merged := mergeMemo(key, old, fps, sigs, s.sigCap())
 	if merged == nil || (old != nil && sameMemo(old, merged)) {
-		return false, nil
+		return nil
 	}
 	payload, err := encodeMemoBounded(merged)
 	if err != nil {
-		return false, err
+		return err
 	}
 	n, err := s.memoLog.Append(payload)
 	if err != nil {
-		return false, fmt.Errorf("store: %w", err)
+		return fmt.Errorf("store: %w", err)
 	}
 	s.indexMemoLocked(merged, n)
 	if s.memoLog.Bloated(s.memoLive) {
-		if err := s.compactMemoLocked(); err != nil {
-			return true, err
-		}
+		return s.compactMemoLocked()
 	}
-	return true, nil
+	return nil
 }
 
 // mergeMemo builds the merged record for key, or nil when there is
@@ -285,57 +276,4 @@ func (s *Store) compactMemoLocked() error {
 		return fmt.Errorf("store: memo compact: %w", err)
 	}
 	return nil
-}
-
-// writeMemoRecordDigest streams one record's digest content into a
-// Merkle leaf hash: the key, the fingerprint set, and every
-// signature, all length-prefixed. Unlike the verdict digest (a set of
-// fingerprints), memo records mutate by merging, so the digest must
-// cover record content for replicas to detect divergence; Unix is
-// excluded so converged replicas agree.
-func writeMemoRecordDigest(h io.Writer, r *MemoRecord) {
-	if r == nil {
-		return
-	}
-	var buf [binary.MaxVarintLen64]byte
-	wInt := func(v int) {
-		n := binary.PutUvarint(buf[:], uint64(v))
-		h.Write(buf[:n])
-	}
-	h.Write([]byte(r.Key))
-	wInt(len(r.Fingerprints))
-	for _, fp := range r.Fingerprints {
-		h.Write([]byte(fp))
-	}
-	wInt(len(r.Sigs))
-	for _, sg := range r.Sigs {
-		wInt(len(sg))
-		h.Write(sg)
-	}
-}
-
-// ImportMemoFrames replays a sealed memo segment, merging each record
-// into the local class (union + cap, the same convergent rule as
-// PutMemo — so unlike verdict import there is no first-write-wins:
-// both sides' signatures survive). Validation is the same
-// longest-clean-prefix scan as the on-disk log; a torn or undecodable
-// tail sets Dropped and keeps the clean prefix. Imported counts
-// classes whose local record changed; Unchanged counts records that
-// added nothing new.
-func (s *Store) ImportMemoFrames(data []byte) (ImportStats, error) {
-	var st ImportStats
-	var recs []*MemoRecord
-	recs, st.Dropped = decodeSegment(data, trace.DecodeMemoRecord)
-	for _, rec := range recs {
-		changed, err := s.putMemo(rec.Key, rec.Fingerprints, rec.Sigs)
-		if err != nil {
-			return st, err
-		}
-		if changed {
-			st.Imported++
-		} else {
-			st.Unchanged++
-		}
-	}
-	return st, nil
 }

@@ -251,119 +251,3 @@ func TestMemoCrashInjection(t *testing.T) {
 		cs2.Close()
 	}
 }
-
-func TestMemoManifestDigest(t *testing.T) {
-	dirA, dirB := t.TempDir(), t.TempDir()
-	a, b := openT(t, dirA), openT(t, dirB)
-	key := memoKeyN(6)
-	if err := a.PutMemo(key, nil, memoSigs(0, 5)); err != nil {
-		t.Fatal(err)
-	}
-	mb := topNode(t, a, key)
-	if mb.MemoCount != 1 || mb.MemoDigest == "" {
-		t.Fatalf("top-level node: %+v", mb)
-	}
-	// an empty node carries no digest, so it differs from a populated
-	// node's
-	eb := topNode(t, b, key)
-	if eb.MemoCount != 0 || eb.MemoDigest == mb.MemoDigest {
-		t.Fatalf("empty node: %+v", eb)
-	}
-	// same content reached differently (two merges) → same digest
-	if err := b.PutMemo(key, nil, memoSigs(3, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.PutMemo(key, nil, memoSigs(0, 4)); err != nil {
-		t.Fatal(err)
-	}
-	if db := topNode(t, b, key); db.MemoDigest != mb.MemoDigest {
-		t.Fatalf("converged content, diverged digests:\n%s\n%s", mb.MemoDigest, db.MemoDigest)
-	}
-	// verdict side is untouched by memo writes
-	if mb.Count != 0 {
-		t.Fatalf("memo write leaked into the verdict tier: %+v", mb)
-	}
-}
-
-// topNode returns the top-level tree node (depth 1) covering key, or
-// the zero node when it is empty.
-func topNode(t *testing.T, s *Store, key string) PrefixDigest {
-	t.Helper()
-	ds, err := s.Digests("", 1, true, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range ds {
-		if d.Prefix == key[:1] {
-			return d
-		}
-	}
-	return PrefixDigest{Prefix: key[:1]}
-}
-
-func TestMemoExportImport(t *testing.T) {
-	dirA, dirB := t.TempDir(), t.TempDir()
-	a, b := openT(t, dirA), openT(t, dirB)
-	keys := []string{memoKeyN(7), memoKeyN(8)}
-	for i, k := range keys {
-		if err := a.PutMemo(k, []string{fmt.Sprintf("%064x", i+1)}, memoSigs(i*5, 4)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// b holds a partial overlap of the first class: import merges
-	if err := b.PutMemo(keys[0], nil, memoSigs(2, 4)); err != nil {
-		t.Fatal(err)
-	}
-	for bk := 0; bk < 16; bk++ {
-		seg, _, err := a.ExportMemoPrefix(fmt.Sprintf("%x", bk))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(seg) == 0 {
-			continue
-		}
-		st, err := b.ImportMemoFrames(seg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Dropped {
-			t.Fatalf("clean segment reported dropped: %+v", st)
-		}
-	}
-	rec, ok := b.GetMemo(keys[0])
-	if !ok || len(rec.Sigs) != 6 { // union of 0..3 and 2..5
-		t.Fatalf("merged class: ok=%v sigs=%d, want 6", ok, len(rec.Sigs))
-	}
-	if _, ok := b.GetMemo(keys[1]); !ok {
-		t.Fatal("second class not imported")
-	}
-	if _, ok := b.MemoForFingerprint(fmt.Sprintf("%064x", 1)); !ok {
-		t.Fatal("fingerprint index not built from import")
-	}
-
-	// torn segment: clean prefix imported, Dropped set
-	seg, _, err := a.ExportMemoPrefix(keys[0][:1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := openT(t, t.TempDir())
-	st, err := c.ImportMemoFrames(seg[:len(seg)-3])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Dropped {
-		t.Fatal("torn tail not reported")
-	}
-
-	// hostile bytes: never an indexed record that fails validation
-	garbage := append([]byte("RTMSgarbagegarbage"), seg...)
-	if _, err := c.ImportMemoFrames(garbage); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range c.MemoKeys() {
-		rec, _ := c.GetMemo(k)
-		if err := rec.Validate(); err != nil {
-			t.Fatalf("imported record invalid: %v", err)
-		}
-	}
-}

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -61,41 +60,30 @@ type refNode struct {
 	sum []byte
 }
 
-// refTree recomputes both tiers' trees from scratch — leaves from the
-// live indexes, each interior node as SHA-256 over its non-empty
-// children's digests — as the oracle for the incrementally maintained
-// leaf state. It returns the non-empty nodes at depths 1..MerkleDepth
-// in the wire form Digests produces.
+// refTree recomputes the tree from scratch — leaves from the feasible
+// records of the live index, each interior node as SHA-256 over its
+// non-empty children's digests — as the oracle for the incrementally
+// maintained leaf state. It returns the non-empty nodes at depths
+// 1..MerkleDepth in the wire form Digests produces.
 func refTree(s *Store) [][]PrefixDigest {
 	s.mu.Lock()
-	vByLeaf := make(map[int][]string)
-	for fp := range s.index {
-		l := LeafOf(fp)
-		vByLeaf[l] = append(vByLeaf[l], fp)
-	}
-	mByLeaf := make(map[int][]*MemoRecord)
-	for k, r := range s.memo {
-		l := LeafOf(k)
-		mByLeaf[l] = append(mByLeaf[l], r)
+	byLeaf := make(map[int][]string)
+	for fp, r := range s.index {
+		if r.Feasible {
+			l := LeafOf(fp)
+			byLeaf[l] = append(byLeaf[l], fp)
+		}
 	}
 	s.mu.Unlock()
-	v, m := make([]refNode, MerkleLeaves), make([]refNode, MerkleLeaves)
+	v := make([]refNode, MerkleLeaves)
 	for l := 0; l < MerkleLeaves; l++ {
-		if fps := vByLeaf[l]; len(fps) > 0 {
+		if fps := byLeaf[l]; len(fps) > 0 {
 			sort.Strings(fps)
 			h := sha256.New()
 			for _, fp := range fps {
 				h.Write([]byte(fp))
 			}
 			v[l] = refNode{len(fps), h.Sum(nil)}
-		}
-		if recs := mByLeaf[l]; len(recs) > 0 {
-			sort.Slice(recs, func(i, j int) bool { return recs[i].Key < recs[j].Key })
-			h := sha256.New()
-			for _, r := range recs {
-				writeMemoRecordDigest(h, r)
-			}
-			m[l] = refNode{len(recs), h.Sum(nil)}
 		}
 	}
 	fold := func(level []refNode) []refNode {
@@ -119,19 +107,12 @@ func refTree(s *Store) [][]PrefixDigest {
 			width = 2 * sha256.Size
 		}
 		for i := range v {
-			if v[i].n == 0 && m[i].n == 0 {
-				continue
-			}
-			d := PrefixDigest{Prefix: fmt.Sprintf("%0*x", depth, i)}
 			if v[i].n > 0 {
-				d.Count, d.Digest = v[i].n, hex.EncodeToString(v[i].sum)[:width]
+				d := PrefixDigest{Prefix: fmt.Sprintf("%0*x", depth, i), Count: v[i].n, Digest: hex.EncodeToString(v[i].sum)[:width]}
+				levels[depth-1] = append(levels[depth-1], d)
 			}
-			if m[i].n > 0 {
-				d.MemoCount, d.MemoDigest = m[i].n, hex.EncodeToString(m[i].sum)[:width]
-			}
-			levels[depth-1] = append(levels[depth-1], d)
 		}
-		v, m = fold(v), fold(m)
+		v = fold(v)
 	}
 	return levels
 }
@@ -149,10 +130,11 @@ func diffDigests(t *testing.T, step string, got, want []PrefixDigest) {
 }
 
 // TestMerkleIncrementalMatchesRecompute is the digest-equivalence
-// property test: after any randomized sequence of Put / PutMemo /
-// Drop / ImportFrames / ImportMemoFrames / Compact / reopen, the
-// digests at every depth are byte-identical to a from-scratch
-// recomputation of the tree, for both tiers.
+// property test: after any randomized sequence of Put (feasible or
+// NO, fresh or flipping an indexed verdict) / PutMemo / Drop /
+// ImportFrames / Compact / reopen, the digests at every depth are
+// byte-identical to a from-scratch recomputation of the tree over the
+// feasible records. Memo writes and NOs never move it.
 func TestMerkleIncrementalMatchesRecompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	dir := t.TempDir()
@@ -164,16 +146,13 @@ func TestMerkleIncrementalMatchesRecompute(t *testing.T) {
 		if err := donor.Put(randRecord(rng)); err != nil {
 			t.Fatal(err)
 		}
-		if err := donor.PutMemo(randFp(rng), []string{randFp(rng)}, [][]byte{{byte(i), 1, 2}}); err != nil {
-			t.Fatal(err)
-		}
 	}
 
 	check := func(step string) {
 		t.Helper()
 		want := refTree(s)
 		for depth := 1; depth <= MerkleDepth; depth++ {
-			got, err := s.Digests("", depth, true, true)
+			got, err := s.Digests("", depth)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,13 +162,24 @@ func TestMerkleIncrementalMatchesRecompute(t *testing.T) {
 
 	check("empty")
 	for step := 0; step < 120; step++ {
-		op := rng.Intn(10)
+		op := rng.Intn(11)
 		switch {
 		case op < 4: // Put
 			if err := s.Put(randRecord(rng)); err != nil {
 				t.Fatal(err)
 			}
-		case op < 6: // PutMemo: fresh or merge into an existing class
+		case op < 5: // Put the opposite verdict over an indexed record
+			if fps := s.Fingerprints(); len(fps) > 0 {
+				rec := randRecord(rng)
+				rec.Fingerprint = fps[rng.Intn(len(fps))]
+				if old, _ := s.Get(rec.Fingerprint); old.Feasible == rec.Feasible {
+					continue
+				}
+				if err := s.Put(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case op < 7: // PutMemo: fresh or merge into an existing class
 			key := randFp(rng)
 			if keys := s.MemoKeys(); len(keys) > 0 && rng.Intn(2) == 0 {
 				key = keys[rng.Intn(len(keys))]
@@ -199,24 +189,16 @@ func TestMerkleIncrementalMatchesRecompute(t *testing.T) {
 			if err := s.PutMemo(key, []string{randFp(rng)}, [][]byte{sig}); err != nil {
 				t.Fatal(err)
 			}
-		case op < 7: // Drop an existing record
+		case op < 8: // Drop an existing record
 			if fps := s.Fingerprints(); len(fps) > 0 {
 				s.Drop(fps[rng.Intn(len(fps))])
 			}
-		case op < 8: // Import a donor subtree (both tiers)
-			prefix := fmt.Sprintf("%x", rng.Intn(16))
-			seg, _ := exportPrefix(t, donor, prefix)
+		case op < 9: // Import a donor subtree
+			seg, _ := exportPrefix(t, donor, fmt.Sprintf("%x", rng.Intn(16)))
 			if _, err := s.ImportFrames(seg); err != nil {
 				t.Fatal(err)
 			}
-			mseg, _, err := donor.ExportMemoPrefix(prefix)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.ImportMemoFrames(mseg); err != nil {
-				t.Fatal(err)
-			}
-		case op < 9: // Compact
+		case op < 10: // Compact
 			if err := s.Compact(); err != nil {
 				t.Fatal(err)
 			}
@@ -236,7 +218,7 @@ func TestDigestsValidation(t *testing.T) {
 		prefix string
 		depth  int
 	}{{"zz", 1}, {"", 0}, {"", MerkleDepth + 1}, {"ab", 2}, {"fff", 4}} {
-		if _, err := s.Digests(c.prefix, c.depth, true, true); err == nil {
+		if _, err := s.Digests(c.prefix, c.depth); err == nil {
 			t.Errorf("Digests(%q, %d) accepted", c.prefix, c.depth)
 		}
 	}
@@ -260,17 +242,18 @@ func TestDigestsNarrowing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	extra := &Record{Fingerprint: "4a7" + bucketRecord(4, 9).Fingerprint[3:], Feasible: false, Elements: 2, Source: "exact"}
+	extra := bucketRecord(4, 9)
+	extra.Fingerprint = "4a7" + extra.Fingerprint[3:]
 	if err := a.Put(extra); err != nil {
 		t.Fatal(err)
 	}
 
 	for depth := 1; depth <= MerkleDepth; depth++ {
-		da, err := a.Digests("", depth, true, false)
+		da, err := a.Digests("", depth)
 		if err != nil {
 			t.Fatal(err)
 		}
-		db, err := b.Digests("", depth, true, false)
+		db, err := b.Digests("", depth)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,41 +312,5 @@ func TestExportRecordsSubset(t *testing.T) {
 	}
 	if _, _, err := src.ExportRecords(make([]string, maxFetchRecords+1)); err == nil {
 		t.Fatal("oversized fetch accepted")
-	}
-}
-
-// TestExportMemoPrefixMatchesBucket pins that concatenating a
-// top-level node's leaf-level memo exports reproduces the node's own
-// export byte for byte — leaf pulls and subtree pulls import the same
-// records.
-func TestExportMemoPrefixMatchesBucket(t *testing.T) {
-	s := openT(t, t.TempDir())
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 30; i++ {
-		key := "5" + randFp(rng)[1:]
-		if err := s.PutMemo(key, nil, [][]byte{{byte(i), 9}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	nodeSeg, nn, err := s.ExportMemoPrefix("5")
-	if err != nil || nn != 30 {
-		t.Fatalf("node export: n=%d err=%v", nn, err)
-	}
-	var joined []byte
-	ln := 0
-	for v := 0; v < MerkleLeaves/16; v++ {
-		prefix := fmt.Sprintf("5%0*x", MerkleDepth-1, v)
-		seg, n, err := s.ExportMemoPrefix(prefix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		joined = append(joined, seg...)
-		ln += n
-	}
-	if ln != nn || !bytes.Equal(joined, nodeSeg) {
-		t.Fatalf("leaf exports (%d recs) != node export (%d recs)", ln, nn)
-	}
-	if _, _, err := s.ExportMemoPrefix(""); err == nil {
-		t.Fatal("root memo export accepted")
 	}
 }

@@ -28,11 +28,14 @@
 //     re-verification catches everything CRC cannot (a well-framed
 //     record with wrong content can cost a miss, never a wrong
 //     schedule).
+//   - A NO cannot be re-verified cheaply (by Theorem 2 exhaustive
+//     search has no short certificate), so only this node's own disk
+//     may hold one: it is trusted behind its CRC framing, and a NO
+//     never crosses the wire in either direction (merkle.go).
 package store
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -57,7 +60,7 @@ type Options struct {
 	// MemoSigCap bounds the signatures kept per memo class (zero or
 	// negative = DefaultMemoSigCap). Truncation keeps the
 	// byte-wise largest signatures — the deepest refuted subtrees —
-	// and is order-independent, so replicas converge.
+	// and is independent of merge order.
 	MemoSigCap int
 }
 
@@ -81,11 +84,11 @@ type Store struct {
 	frameLen map[string]int64       // memo key → live frame bytes
 	memoLive int64                  // framed bytes of the live memo index
 
-	// Merkle leaf state (merkle.go): each tier's keys partitioned by
-	// leaf prefix with cached leaf digests, maintained incrementally
-	// by every index mutation.
-	vleaf *leafSet // verdict tier (fingerprints)
-	mleaf *leafSet // memo tier (class keys)
+	// Merkle leaf state (merkle.go): the fingerprints of the feasible
+	// records — the only ones that replicate — partitioned by leaf
+	// prefix with cached leaf digests, maintained incrementally by
+	// every index mutation.
+	vleaf leafSet
 }
 
 // Open opens (creating if necessary) the store rooted at dir,
@@ -99,8 +102,6 @@ func Open(dir string, opt Options) (*Store, error) {
 		dir: dir, opt: opt, index: make(map[string]*Record),
 		memo: make(map[string]*MemoRecord), fpKey: make(map[string]string), frameLen: make(map[string]int64),
 	}
-	s.vleaf = &leafSet{write: func(h io.Writer, fp string) { io.WriteString(h, fp) }}
-	s.mleaf = &leafSet{write: func(h io.Writer, key string) { writeMemoRecordDigest(h, s.memo[key]) }}
 	var dropped bool
 	var err error
 	s.log, dropped, err = OpenLog(filepath.Join(dir, logName), opt.NoSync, func(payload []byte, _ int64) error {
@@ -108,8 +109,7 @@ func Open(dir string, opt Options) (*Store, error) {
 		if err != nil {
 			return err
 		}
-		s.index[r.Fingerprint] = r
-		s.vleaf.add(r.Fingerprint)
+		s.indexLocked(r)
 		return nil
 	})
 	if err != nil {
@@ -173,9 +173,21 @@ func (s *Store) Put(rec *Record) error {
 	}
 	cp := *rec
 	cp.Slots = append([]int(nil), rec.Slots...)
-	s.index[rec.Fingerprint] = &cp
-	s.vleaf.add(rec.Fingerprint)
+	s.indexLocked(&cp)
 	return nil
+}
+
+// indexLocked makes r the live record of its fingerprint. Only a
+// feasible record is a member of the Merkle tree: its schedule is a
+// certificate any receiver re-checks, while a NO has none short enough
+// to check, so a NO never replicates.
+func (s *Store) indexLocked(r *Record) {
+	s.index[r.Fingerprint] = r
+	if r.Feasible {
+		s.vleaf.add(r.Fingerprint)
+	} else {
+		s.vleaf.remove(r.Fingerprint)
+	}
 }
 
 // sameRecord reports whether two records carry the same outcome
