@@ -37,9 +37,9 @@ fuzz:
 
 # Short fuzz passes spread across every fuzz target: parser,
 # fingerprint, the schedule store's segment reader
-# (no-panic-on-any-bytes), the memo segment reader and import path,
-# the pruned-vs-seed differential oracle of the exact search, the
-# analytic tier's verdict-vs-oracle soundness check, and the queue
+# (no-panic-on-any-bytes) and import rule, the memo segment reader and
+# replay path, the pruned-vs-seed differential oracle of the exact
+# search, the analytic tier's verdict-vs-oracle soundness check, and the queue
 # journal's record reader and replay state machine. A worker that
 # finds a new interesting input minimizes it before it fuzzes on, for
 # up to -fuzzminimizetime (60 s by default, longer than a pass), and

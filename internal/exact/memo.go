@@ -49,7 +49,7 @@ func (t *memoTable) Seed(sigs [][]byte) int {
 // re-writes what it already stored. Signatures are sorted descending
 // by bytes.Compare: the first encoded field is the remaining-slot
 // count, so under a size cap the deepest (largest-subtree) refutations
-// survive first, and the order is deterministic for replication.
+// survive first, and the order is deterministic.
 func (t *memoTable) Snapshot() [][]byte {
 	var out [][]byte
 	for i := range t.stripes {

@@ -45,7 +45,7 @@ type Metrics struct {
 
 	Forwards         atomic.Int64 // requests proxied to their shard owner (cluster mode)
 	ForwardFallbacks atomic.Int64 // forwards that failed over to a local solve (owner unreachable)
-	SyncPulls        atomic.Int64 // segments/leaves/batches pulled from peers by anti-entropy sync
+	SyncPulls        atomic.Int64 // record batches pulled from peers by anti-entropy sync
 	SyncRecords      atomic.Int64 // records imported from pulled segments
 	SyncRounds       atomic.Int64 // completed anti-entropy rounds
 	SyncBytesRx      atomic.Int64 // replication bytes received from peers (manifests, digests, segments)
