@@ -103,8 +103,10 @@ func TestQueueCompactReplaysIdentically(t *testing.T) {
 			want[id] = k
 		}
 	}
-	close(release)
+	// close first: released before Close, the worker could finish
+	// job 2 and start a pending job before Close stops it
 	q.Close()
+	close(release)
 
 	re := openQ(t, dir, 0) // no workers: observe the replayed state
 	got := stateMap(re)
