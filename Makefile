@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench serve fuzz fuzz-short ci perfbench-test perfbench-smoke
+.PHONY: build test race vet bench bench-parallel serve fuzz fuzz-short ci perfbench-test perfbench-smoke
 
 build:
 	$(GO) build ./...

@@ -56,10 +56,12 @@
 // the request is journaled as a durable async job (202 Accepted + a
 // job id keyed by canonical fingerprint, so a thundering herd of
 // isomorphic specs costs one search), -queue-workers background
-// workers drain jobs through the same pipeline, decided outcomes land
-// in the store, and clients poll or long-poll GET /job/<id> until the
-// verdict is in — then re-POST the spec to collect the schedule from
-// the warmed store. Graceful shutdown checkpoints in-flight jobs back
+// workers drain jobs in submission order through the same pipeline,
+// decided outcomes land in the store, and clients poll or long-poll
+// GET /job/<id> until the verdict is in — then re-POST the spec to
+// collect the schedule from the warmed store. The journal's compaction
+// forgets finished jobs; /job/<id> then answers from the in-memory
+// cache while the class is resident, and 404 after. Graceful shutdown checkpoints in-flight jobs back
 // to pending (they resume on the next start with the same -queue-dir).
 //
 // With -store-dir, decided outcomes additionally persist across

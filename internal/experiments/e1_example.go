@@ -5,8 +5,6 @@ import (
 
 	"rtm/internal/core"
 	"rtm/internal/heuristic"
-	"rtm/internal/process"
-	"rtm/internal/sched"
 	"rtm/internal/sim"
 )
 
@@ -72,16 +70,4 @@ func yesNo(b bool) string {
 		return "yes"
 	}
 	return "no"
-}
-
-// verifySchedule double-checks a result against the exact semantics
-// (shared by several experiments).
-func verifySchedule(m *core.Model, s *sched.Schedule) bool {
-	return sched.Feasible(m, s)
-}
-
-// baselineTasks is a helper exposing the process mapping used in
-// comparisons.
-func baselineTasks(m *core.Model) (process.TaskSet, error) {
-	return process.FromModel(m)
 }

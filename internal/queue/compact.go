@@ -7,15 +7,15 @@ import (
 	"rtm/internal/trace"
 )
 
-// Compact rewrites the journal to the minimal record set that replays
-// to the same job-state map: one record per job — the terminal record
-// for done/failed jobs (replay reconstructs them as stubs, dropping
-// the model a terminal job no longer needs), the submitted record for
-// pending/running jobs (running reverts to pending on replay, exactly
-// the crash-checkpoint rule). Started records and terminal jobs'
-// model-carrying submitted records are what the rewrite sheds — on a
-// long-lived queue that is almost the whole journal. The journal also
-// compacts itself once it outgrows its live set (compactIfBloatedLocked).
+// Compact rewrites the journal to the submitted records of its live
+// jobs, in submission order, and forgets every finished job: a
+// running job replays as pending (the crash-checkpoint rule), and a
+// done or failed job is dropped from the job table, so its class can
+// be submitted again as a new job. Started records, terminal records
+// and finished jobs' model-carrying submitted records are what the
+// rewrite sheds — on a long-lived queue that is almost the whole
+// journal. The journal also compacts itself once it outgrows its live
+// set (compactIfBloatedLocked).
 //
 // The rewrite is store.Log.Rewrite, the crash contract every framed log
 // shares: a crash at any point leaves either the old or the new
@@ -31,38 +31,20 @@ func (q *Queue) Compact() error {
 
 // compactLocked is Compact with q.mu held.
 func (q *Queue) compactLocked() error {
-	jobs := make([]*job, 0, len(q.jobs))
+	live := make([]*job, 0, len(q.jobs))
 	for _, j := range q.jobs {
-		jobs = append(jobs, j)
+		if !j.state.Terminal() {
+			live = append(live, j)
+		}
 	}
-	sort.Slice(jobs, func(i, k int) bool { return jobs[i].seq < jobs[k].seq })
+	sort.Slice(live, func(i, k int) bool { return live[i].seq < live[k].seq })
 
 	err := q.log.Rewrite(func(put func([]byte) error) error {
-		for _, j := range jobs {
-			// Priority rides along on terminal records too — informational
-			// there, but it keeps the replayed status identical to the live
-			// one (the equivalence the compaction test pins).
-			rec := &trace.QueueRecordJSON{Fingerprint: j.id, Unix: j.submitUnix, Priority: j.priority}
-			switch j.state {
-			case Done:
-				rec.Type = trace.QueueDone
-				rec.Feasible = j.verdict.Feasible
-				rec.Source = j.verdict.Source
-			case Failed:
-				rec.Type = trace.QueueFailed
-				rec.Error = j.errMsg
-				if rec.Error == "" {
-					rec.Error = "failed"
-				}
-			default:
-				if j.model == nil {
-					continue // defensive: a model-less job cannot be re-journaled or run
-				}
-				rec.Type = trace.QueueSubmitted
-				rec.DeadlineUnix = j.deadline
-				rec.Model = trace.NewModelJSON(j.model)
-			}
-			payload, err := trace.EncodeQueueRecord(rec)
+		for _, j := range live {
+			payload, err := trace.EncodeQueueRecord(&trace.QueueRecordJSON{
+				Type: trace.QueueSubmitted, Fingerprint: j.id, Unix: j.submitUnix,
+				Model: trace.NewModelJSON(j.model),
+			})
 			if err != nil {
 				return err
 			}
@@ -74,6 +56,12 @@ func (q *Queue) compactLocked() error {
 	})
 	if err != nil {
 		return fmt.Errorf("queue: compact: %w", err)
+	}
+	// the old journal is gone, and with it every finished job's records
+	for id, j := range q.jobs {
+		if j.state.Terminal() {
+			delete(q.jobs, id)
+		}
 	}
 	return nil
 }

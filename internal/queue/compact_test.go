@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,7 +17,6 @@ type stateKey struct {
 	State      State
 	Verdict    Verdict
 	Err        string
-	Priority   int
 	SubmitUnix int64
 }
 
@@ -25,17 +25,16 @@ func stateMap(q *Queue) map[string]stateKey {
 	for _, st := range q.Jobs() {
 		out[st.ID] = stateKey{
 			State: st.State, Verdict: st.Verdict, Err: st.Err,
-			Priority: st.Priority, SubmitUnix: st.SubmitUnix,
+			SubmitUnix: st.SubmitUnix,
 		}
 	}
 	return out
 }
 
-// TestQueueCompactReplaysIdentically is the satellite's pin: build a
-// journal holding done, failed, running and pending jobs, compact it,
-// and assert the compacted journal replays to the identical job-state
-// map a replay of the uncompacted journal produces — while shedding
-// bytes.
+// TestQueueCompactReplaysIdentically builds a journal holding done,
+// failed, running and pending jobs and compacts it: the finished jobs
+// are forgotten at once, and the compacted journal replays to the
+// identical map of live jobs — while shedding bytes.
 func TestQueueCompactReplaysIdentically(t *testing.T) {
 	dir := t.TempDir()
 	q := openQ(t, dir, 1)
@@ -59,22 +58,22 @@ func TestQueueCompactReplaysIdentically(t *testing.T) {
 
 	// job 0 done, job 1 failed, then job 2 blocks the single worker
 	// (running), leaving jobs 3 and 4 pending
-	st0, err := q.Submit(testModel(0), SubmitOptions{Priority: 7})
+	st0, err := q.Submit(testModel(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitTerminal(t, q, st0.ID)
-	st1, err := q.Submit(testModel(1), SubmitOptions{})
+	st1, err := q.Submit(testModel(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitTerminal(t, q, st1.ID)
-	if _, err := q.Submit(testModel(2), SubmitOptions{}); err != nil {
+	if _, err := q.Submit(testModel(2)); err != nil {
 		t.Fatal(err)
 	}
 	<-gate // worker is now parked inside job 2
 	for i := 3; i <= 4; i++ {
-		if _, err := q.Submit(testModel(i), SubmitOptions{Priority: i}); err != nil {
+		if _, err := q.Submit(testModel(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -82,6 +81,11 @@ func TestQueueCompactReplaysIdentically(t *testing.T) {
 	before := q.Bytes()
 	if err := q.Compact(); err != nil {
 		t.Fatal(err)
+	}
+	for _, id := range []string{st0.ID, st1.ID} {
+		if st, ok := q.Get(id); ok {
+			t.Fatalf("finished job %s survived compaction: %+v", id[:8], st)
+		}
 	}
 	after := q.Bytes()
 	if after >= before {
@@ -96,6 +100,9 @@ func TestQueueCompactReplaysIdentically(t *testing.T) {
 	}
 
 	want := stateMap(q)
+	if len(want) != 3 {
+		t.Fatalf("%d jobs survived compaction, want 3 (one running + two pending)", len(want))
+	}
 	// the running job replays as pending — the crash-checkpoint rule
 	for id, k := range want {
 		if k.State == Running {
@@ -122,7 +129,6 @@ func TestQueueCompactReplaysIdentically(t *testing.T) {
 			t.Fatalf("job %s: replayed %+v, want %+v", id, g, w)
 		}
 	}
-	// terminal jobs must not re-enter the drain schedule
 	if s := re.Stats(); s.Depth != 3 {
 		t.Fatalf("replayed depth = %d, want 3 (one checkpointed + two pending)", s.Depth)
 	}
@@ -136,52 +142,9 @@ func TestQueueCompactClosedErrors(t *testing.T) {
 	}
 }
 
-// TestQueueDeadlineExpired pins drain-time deadline enforcement: an
-// already-expired job fails fast with ErrDeadlineExpired, the solver
-// is never invoked for it, and a job with a future deadline solves
-// normally.
-func TestQueueDeadlineExpired(t *testing.T) {
-	q := openQ(t, t.TempDir(), 1)
-
-	// submit before Start so the expired job cannot race the check
-	expired, err := q.Submit(testModel(0), SubmitOptions{Deadline: time.Now().Add(-2 * time.Second)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := q.Submit(testModel(1), SubmitOptions{Deadline: time.Now().Add(time.Hour)})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	solver := &instantSolver{}
-	q.Start(solver.solve)
-
-	est := waitTerminal(t, q, expired.ID)
-	if est.State != Failed || est.Err != ErrDeadlineExpired.Error() || !est.DeadlineExpired() {
-		t.Fatalf("expired job: %+v", est)
-	}
-	fst := waitTerminal(t, q, fresh.ID)
-	if fst.State != Done || fst.DeadlineExpired() {
-		t.Fatalf("fresh job: %+v", fst)
-	}
-
-	solver.mu.Lock()
-	for _, fp := range solver.order {
-		if fp == expired.ID {
-			t.Fatal("solver was invoked for an expired job")
-		}
-	}
-	solver.mu.Unlock()
-
-	s := q.Stats()
-	if s.Expired != 1 || s.Failed != 1 || s.Completed != 1 {
-		t.Fatalf("stats: %+v", s)
-	}
-}
-
 // wideModel is testModel with six elements, each under its own
-// constraint: a submitted record several times the size of the done
-// record that outlives it, as real specs are. Distinct weights keep
+// constraint: a submitted record several times the size of the
+// started and done records that follow it, as real specs are. Distinct weights keep
 // the elements from being interchangeable, which keeps
 // canonicalization cheap.
 func wideModel(i int) *core.Model {
@@ -200,9 +163,11 @@ func wideModel(i int) *core.Model {
 // TestQueueJournalStaysBounded runs submit→done cycles until the
 // journal has crossed the compaction floor several times: without the
 // size-bounded trigger it grows by three records per job forever. The
-// journal must never outgrow four times its live set (one record per
-// job, measured by a final explicit Compact) past the floor, and a
-// reopen of the self-compacted journal must replay the live queue.
+// journal must never outgrow four times its live set (the submitted
+// records of unfinished jobs, measured by a final explicit Compact)
+// past the floor. Finished jobs hold no live bytes, so once every job
+// is done that live set is empty: the final Compact forgets them all,
+// and a reopen replays an empty queue.
 func TestQueueJournalStaysBounded(t *testing.T) {
 	dir := t.TempDir()
 	q := openQ(t, dir, 1)
@@ -212,11 +177,18 @@ func TestQueueJournalStaysBounded(t *testing.T) {
 	var peak, prev int64
 	compactions := 0
 	for i := 0; i < cycles; i++ {
-		st, err := q.Submit(wideModel(i), SubmitOptions{})
+		st, err := q.Submit(wideModel(i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		waitTerminal(t, q, st.ID)
+		// Wait returns at once if a self-compaction already forgot the
+		// finished job; either way it has completed
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		q.Wait(ctx, st.ID)
+		cancel()
+		if c := q.Stats().Completed; c != int64(i+1) {
+			t.Fatalf("cycle %d: %d jobs completed, want %d", i, c, i+1)
+		}
 		size := q.Bytes()
 		if size < prev {
 			compactions++
@@ -228,7 +200,6 @@ func TestQueueJournalStaysBounded(t *testing.T) {
 		t.Fatalf("journal compacted itself %d times in %d cycles, want at least 3", compactions, cycles)
 	}
 
-	want := stateMap(q)
 	if err := q.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -238,15 +209,75 @@ func TestQueueJournalStaysBounded(t *testing.T) {
 	if peak > max(floor, 4*live) {
 		t.Fatalf("journal peaked at %d bytes, bound max(%d, 4×%d live)", peak, floor, live)
 	}
+	if live != 0 || len(q.Jobs()) != 0 {
+		t.Fatalf("after the final compaction: %d live bytes, %d jobs; want 0 and 0", live, len(q.Jobs()))
+	}
 	q.Close()
 
-	got := stateMap(openQ(t, dir, 0))
-	if len(got) != len(want) {
-		t.Fatalf("replayed %d jobs, want %d", len(got), len(want))
+	re := openQ(t, dir, 0)
+	if s := re.Stats(); s.Replayed != 0 || s.Depth != 0 || len(re.Jobs()) != 0 {
+		t.Fatalf("reopen of the compacted journal: %+v, %d jobs", s, len(re.Jobs()))
 	}
-	for id, w := range want {
-		if got[id] != w {
-			t.Fatalf("job %s: replayed %+v, want %+v", id, got[id], w)
+}
+
+// TestQueueFailedClassRetriesAfterCompaction pins that a budget
+// failure is not forever: until compaction a resubmission dedups onto
+// the failed job, and after it the class opens a new job that runs.
+func TestQueueFailedClassRetriesAfterCompaction(t *testing.T) {
+	dir := t.TempDir()
+	q := openQ(t, dir, 1)
+	var mu sync.Mutex
+	calls := 0
+	q.Start(func(ctx context.Context, m *core.Model) (Verdict, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		calls++
+		if calls == 1 {
+			return Verdict{Decided: false}, nil // the budget ran out
 		}
+		return Verdict{Decided: true, Feasible: true, Source: "exact"}, nil
+	})
+
+	st, err := q.Submit(testModel(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := waitTerminal(t, q, st.ID); got.State != Failed {
+		t.Fatalf("first job: %+v", got)
+	}
+	dup, err := q.Submit(testModel(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dup.Resubmitted || dup.State != Failed {
+		t.Fatalf("resubmit before compaction: %+v", dup)
+	}
+
+	if err := q.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if q.Bytes() != 0 {
+		t.Fatalf("compacted journal of a failed job holds %d bytes", q.Bytes())
+	}
+	retry, err := q.Submit(testModel(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if retry.Resubmitted || retry.ID != st.ID {
+		t.Fatalf("resubmit after compaction: %+v", retry)
+	}
+	if got := waitTerminal(t, q, retry.ID); got.State != Done || !got.Verdict.Feasible {
+		t.Fatalf("retried job: %+v", got)
+	}
+	if s := q.Stats(); s.Submitted != 2 || s.Deduped != 1 || s.Failed != 1 || s.Completed != 1 {
+		t.Fatalf("stats: %+v", s)
+	}
+	q.Close()
+
+	// the retried job's done record ends only the job the resubmission
+	// opened: nothing replays as pending
+	re := openQ(t, dir, 0)
+	if got, ok := re.Get(st.ID); !ok || got.State != Done || re.Stats().Depth != 0 {
+		t.Fatalf("replayed retry: %+v (depth %d)", got, re.Stats().Depth)
 	}
 }

@@ -29,7 +29,7 @@ func buildTestJournal(t testing.TB) (data []byte, boundaries []int64, fps [3]str
 	}
 	recs := []*trace.QueueRecordJSON{
 		{Type: trace.QueueSubmitted, Fingerprint: fps[0], Unix: 1754_000_000, Model: trace.NewModelJSON(models[0])},
-		{Type: trace.QueueSubmitted, Fingerprint: fps[1], Unix: 1754_000_001, Priority: 1, Model: trace.NewModelJSON(models[1])},
+		{Type: trace.QueueSubmitted, Fingerprint: fps[1], Unix: 1754_000_001, Model: trace.NewModelJSON(models[1])},
 		{Type: trace.QueueStarted, Fingerprint: fps[0], Unix: 1754_000_002},
 		{Type: trace.QueueDone, Fingerprint: fps[0], Unix: 1754_000_003, Feasible: true, Source: "exact"},
 		{Type: trace.QueueStarted, Fingerprint: fps[1], Unix: 1754_000_004},
@@ -39,37 +39,93 @@ func buildTestJournal(t testing.TB) (data []byte, boundaries []int64, fps [3]str
 	}
 	boundaries = []int64{0}
 	for _, r := range recs {
-		payload, err := trace.EncodeQueueRecord(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf, err := store.Frame(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data = append(data, buf...)
+		data = append(data, frameRecord(t, r)...)
 		boundaries = append(boundaries, int64(len(data)))
 	}
 	return data, boundaries, fps
 }
 
-// TestQueueCrashInjection is the satellite durability test: cut the
-// journal at every possible byte offset (the crash leaves an arbitrary
-// prefix), reopen, and assert replay recovers exactly the longest
-// clean prefix of records — never panicking, and never resurrecting a
-// job whose terminal record survived the cut.
+// frameRecord encodes and frames one journal record.
+func frameRecord(t testing.TB, rec *trace.QueueRecordJSON) []byte {
+	t.Helper()
+	payload, err := trace.EncodeQueueRecord(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, err := store.Frame(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
+// buildRetryJournal is buildTestJournal's journal after a compaction
+// and a resubmission of the failed class B, written through the queue
+// itself, and then B's second run by hand:
+//
+//	rec 1: submitted C (all the compaction keeps)
+//	rec 2: submitted B (a new job: the failed one was forgotten)
+//	rec 3: started B
+//	rec 4: done B (exact)
+func buildRetryJournal(t *testing.T) (data []byte, boundaries []int64) {
+	t.Helper()
+	raw, _, fps := buildTestJournal(t)
+	dir := t.TempDir()
+	path := filepath.Join(dir, journalName)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	q, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	boundaries = []int64{0}
+	if err := q.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	boundaries = append(boundaries, q.Bytes())
+	if st, err := q.Submit(testModel(1)); err != nil || st.Resubmitted {
+		t.Fatalf("resubmit of the forgotten failed class: %+v, %v", st, err)
+	}
+	boundaries = append(boundaries, q.Bytes())
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err = os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*trace.QueueRecordJSON{
+		{Type: trace.QueueStarted, Fingerprint: fps[1], Unix: 1754_000_009},
+		{Type: trace.QueueDone, Fingerprint: fps[1], Unix: 1754_000_010, Feasible: true, Source: "exact"},
+	} {
+		data = append(data, frameRecord(t, r)...)
+		boundaries = append(boundaries, int64(len(data)))
+	}
+	return data, boundaries
+}
+
+// crashExpect is the predicted replay of a journal prefix: each job's
+// state keyed A, B, C ("" = unknown, "pending*" = pending and resumed,
+// i.e. a started record with no terminal record survived), the drain
+// depth and the resumed count.
+type crashExpect struct {
+	a, b, c string
+	depth   int64
+	resumed int64
+}
+
+// TestQueueCrashInjection is the durability test: cut a journal at
+// every possible byte offset (the crash leaves an arbitrary prefix),
+// reopen, and assert replay recovers exactly the longest clean prefix
+// of records — never panicking, and never resurrecting a job whose
+// terminal record survived the cut. It cuts two journals: the eight
+// records of buildTestJournal, and the same journal compacted, with
+// the failed class resubmitted and run again (buildRetryJournal),
+// where the forgotten jobs must stay forgotten.
 func TestQueueCrashInjection(t *testing.T) {
 	data, boundaries, fps := buildTestJournal(t)
-
-	// expected job states keyed by the number of complete records; ""
-	// means the job is unknown, "pending*" means pending-and-resumed
-	// (a started record with no terminal record survived)
-	type expect struct {
-		a, b, c string
-		depth   int64
-		resumed int64
-	}
-	table := []expect{
+	cutEverywhere(t, fps, data, boundaries, []crashExpect{
 		{"", "", "", 0, 0},
 		{"pending", "", "", 1, 0},
 		{"pending", "pending", "", 2, 0},
@@ -79,8 +135,23 @@ func TestQueueCrashInjection(t *testing.T) {
 		{"done", "failed", "", 0, 0},
 		{"done", "failed", "pending", 1, 0},
 		{"done", "failed", "pending*", 1, 1},
-	}
-	checkJob := func(t *testing.T, q *Queue, fp, want string) {
+	})
+	retry, retryBounds := buildRetryJournal(t)
+	cutEverywhere(t, fps, retry, retryBounds, []crashExpect{
+		{"", "", "", 0, 0},
+		{"", "", "pending", 1, 0},
+		{"", "pending", "pending", 2, 0},
+		{"", "pending*", "pending", 2, 1},
+		{"", "done", "pending", 1, 0},
+	})
+}
+
+// cutEverywhere opens every byte prefix of a journal whose records end
+// at boundaries[1:], and checks it against table, indexed by the
+// number of complete records in the prefix.
+func cutEverywhere(t *testing.T, fps [3]string, data []byte, boundaries []int64, table []crashExpect) {
+	t.Helper()
+	checkJob := func(q *Queue, fp, want string) {
 		t.Helper()
 		st, ok := q.Get(fp)
 		if want == "" {
@@ -138,14 +209,18 @@ func TestQueueCrashInjection(t *testing.T) {
 		if q.Bytes() != boundaries[complete] {
 			t.Fatalf("cut %d: clean length %d, want %d", cut, q.Bytes(), boundaries[complete])
 		}
-		checkJob(t, q, fps[0], want.a)
-		checkJob(t, q, fps[1], want.b)
-		checkJob(t, q, fps[2], want.c)
+		wants := [3]string{want.a, want.b, want.c}
+		for i, fp := range fps {
+			checkJob(q, fp, wants[i])
+		}
 
-		// no resurrection: re-submitting a terminally-done class must
-		// dedup onto the terminal job, not create a fresh pending one
-		if want.a == "done" {
-			st, err := q.Submit(testModel(0), SubmitOptions{})
+		// no resurrection: re-submitting a done class must dedup onto
+		// the done job, not create a fresh pending one
+		for i, w := range wants {
+			if w != "done" {
+				continue
+			}
+			st, err := q.Submit(testModel(i))
 			if err != nil {
 				t.Fatalf("cut %d: resubmit: %v", cut, err)
 			}
@@ -181,7 +256,7 @@ func TestQueueCrashRecoveryAppendable(t *testing.T) {
 	if s := q.Stats(); s.CorruptTail != 1 || s.Replayed != 7 {
 		t.Fatalf("recovery stats: %+v", s)
 	}
-	st, err := q.Submit(testModel(9), SubmitOptions{Priority: 3})
+	st, err := q.Submit(testModel(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +277,7 @@ func TestQueueCrashRecoveryAppendable(t *testing.T) {
 		t.Fatalf("replayed %d records, want 8", s.Replayed)
 	}
 	got, ok := q2.Get(st.ID)
-	if !ok || got.State != Pending || got.Priority != 3 {
+	if !ok || got.State != Pending {
 		t.Fatalf("appended job after recovery: %+v", got)
 	}
 	if done, ok := q2.Get(fps[0]); !ok || done.State != Done {

@@ -32,8 +32,10 @@ func hostileJournals(t testing.TB) [][]byte {
 // frame scanner, the record decoder, and the replay state machine.
 // Properties pinned, whatever the input: no layer panics; every record
 // the decoder accepts passes Validate (malformed fingerprint or
-// verdict fields never reach the queue); and replay never produces a
-// runnable job without a model or a terminal job whose waiters hang.
+// verdict fields never reach the queue); replay never produces a
+// runnable job without a model or a terminal job whose waiters hang;
+// and the live size is exactly the unfinished jobs' submitted records,
+// with terminal jobs holding none.
 func FuzzQueueDecode(f *testing.F) {
 	for _, j := range hostileJournals(f) {
 		f.Add(j)
@@ -57,7 +59,12 @@ func FuzzQueueDecode(f *testing.F) {
 		if valid > int64(len(data)) {
 			t.Fatalf("clean prefix %d exceeds input %d", valid, len(data))
 		}
+		var live int64
 		for fp, j := range q.jobs {
+			if j.state.Terminal() && j.liveLen != 0 {
+				t.Fatalf("terminal job %s holds %d live bytes", fp, j.liveLen)
+			}
+			live += j.liveLen
 			if j.id != fp {
 				t.Fatalf("job table key %s holds job %s", fp, j.id)
 			}
@@ -74,6 +81,9 @@ func FuzzQueueDecode(f *testing.F) {
 					t.Fatalf("terminal job %s would hang its waiters", fp)
 				}
 			}
+		}
+		if live != q.live {
+			t.Fatalf("live size %d, want %d (the unfinished jobs' records)", q.live, live)
 		}
 	})
 }

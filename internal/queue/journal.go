@@ -1,10 +1,10 @@
 package queue
 
 import (
-	"container/heap"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"time"
 
@@ -15,8 +15,8 @@ import (
 // journalName is the queue's journal inside its directory. The file
 // is a store.Log — the schedule store's framing, recovery and rewrite
 // — but never in the store's directory: queue state and decided
-// outcomes are different lifetimes (jobs shrink to one record once
-// terminal; store records are forever).
+// outcomes are different lifetimes (a job is forgotten at the first
+// compaction after it ends; store records are forever).
 const journalName = "queue.log"
 
 // Queue is a durable, fingerprint-deduplicated solve queue. Create
@@ -32,7 +32,7 @@ type Queue struct {
 	log     *store.Log
 	live    int64 // sum of jobs' liveLen: the journal's size once compacted
 	jobs    map[string]*job
-	pending pendingHeap
+	pending []*job // submission (seq) order; the front drains first
 	seq     uint64
 	closed  bool
 
@@ -40,7 +40,6 @@ type Queue struct {
 	deduped       int64
 	completed     int64
 	failed        int64
-	expired       int64
 	resumed       int64
 	replayed      int64
 	corruptTail   int64
@@ -52,9 +51,10 @@ type Queue struct {
 
 // Open opens (creating if necessary) the queue rooted at dir,
 // replaying the journal into the job table and truncating any torn or
-// corrupt tail to the clean prefix. Recovery rules: terminal records
-// win forever (a done job is never resurrected); submitted records
-// without a surviving terminal record become pending again, whether
+// corrupt tail to the clean prefix. Recovery rules: a terminal record
+// ends the job its fingerprint's last submitted record opened (a done
+// job is never resurrected); submitted records without a surviving
+// terminal record become pending again, in submission order, whether
 // or not the crash interrupted a worker mid-solve.
 func Open(dir string, opt Options) (*Queue, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -85,27 +85,27 @@ func Open(dir string, opt Options) (*Queue, error) {
 		if j.state.Terminal() {
 			continue
 		}
-		j.state = Pending
-		heap.Push(&q.pending, j)
+		q.pending = append(q.pending, j)
 		if j.started {
 			q.resumed++
 		}
 	}
+	sort.Slice(q.pending, func(a, b int) bool { return q.pending[a].seq < q.pending[b].seq })
 	return q, nil
 }
 
 // replay applies one journal record, framed in n bytes, to the job
-// table (Open only; no locking, no appending). Records for terminal
-// fingerprints are ignored — the no-resurrection rule.
+// table (Open only; no locking, no appending). A fingerprint's job is
+// open from its submitted record to its terminal record: records that
+// find no open job end nothing and start nothing, and a submitted
+// record after a terminal one opens a new job.
 func (q *Queue) replay(rec *trace.QueueRecordJSON, n int64) {
 	q.replayed++
 	j := q.jobs[rec.Fingerprint]
-	if j != nil && j.state.Terminal() {
-		return
-	}
+	open := j != nil && !j.state.Terminal()
 	switch rec.Type {
 	case trace.QueueSubmitted:
-		if j != nil {
+		if open {
 			return // duplicate submit: first wins
 		}
 		m, err := rec.Model.ToModel()
@@ -115,52 +115,30 @@ func (q *Queue) replay(rec *trace.QueueRecordJSON, n int64) {
 			return
 		}
 		q.seq++
-		q.jobs[rec.Fingerprint] = &job{
-			id: rec.Fingerprint, model: m,
-			priority: rec.Priority, deadline: rec.DeadlineUnix,
-			seq: q.seq, submitUnix: rec.Unix, submitted: timeNowAt(rec.Unix),
+		j = &job{
+			id: rec.Fingerprint, model: m, seq: q.seq,
+			submitUnix: rec.Unix, submitted: timeNowAt(rec.Unix),
 			state: Pending, done: make(chan struct{}),
 		}
-		q.setLive(q.jobs[rec.Fingerprint], n)
+		q.jobs[rec.Fingerprint] = j
+		q.setLive(j, n)
 	case trace.QueueStarted:
-		if j != nil {
+		if open {
 			j.started = true
 		}
 	case trace.QueueDone:
-		if j == nil {
-			j = q.stubJob(rec)
+		if open {
+			q.endLocked(j, Done, Verdict{Decided: true, Feasible: rec.Feasible, Source: rec.Source}, "")
 		}
-		j.state = Done
-		j.verdict = Verdict{Decided: true, Feasible: rec.Feasible, Source: rec.Source}
-		close(j.done)
-		q.setLive(j, n)
 	case trace.QueueFailed:
-		if j == nil {
-			j = q.stubJob(rec)
+		if open {
+			q.endLocked(j, Failed, Verdict{}, rec.Error)
 		}
-		j.state = Failed
-		j.errMsg = rec.Error
-		close(j.done)
-		q.setLive(j, n)
 	}
 }
 
-// stubJob registers a terminal job observed without its submitted
-// record (possible when compaction dropped the submitted frame but
-// kept the terminal one). It has no model — harmless, it never runs.
-func (q *Queue) stubJob(rec *trace.QueueRecordJSON) *job {
-	q.seq++
-	j := &job{
-		id: rec.Fingerprint, seq: q.seq, submitUnix: rec.Unix,
-		priority:  rec.Priority,
-		submitted: timeNowAt(rec.Unix), done: make(chan struct{}),
-	}
-	q.jobs[rec.Fingerprint] = j
-	return j
-}
-
-// setLive records that j's surviving record — the one Compact keeps
-// for it — is framed in n bytes.
+// setLive records that j's surviving record — the submitted record
+// Compact keeps for it — is framed in n bytes (0: Compact keeps none).
 func (q *Queue) setLive(j *job, n int64) {
 	q.live += n - j.liveLen
 	j.liveLen = n
@@ -185,21 +163,20 @@ func (q *Queue) appendLocked(rec *trace.QueueRecordJSON) (int64, error) {
 // in-memory transition proceeds and the failure is counted — the
 // replayed journal will simply re-run the job, which is idempotent
 // because outcomes land in the content-addressed store.
-func (q *Queue) transitionLocked(rec *trace.QueueRecordJSON) int64 {
-	n, err := q.appendLocked(rec)
-	if err != nil {
+func (q *Queue) transitionLocked(rec *trace.QueueRecordJSON) {
+	if _, err := q.appendLocked(rec); err != nil {
 		q.journalErrors++
 	}
-	return n
 }
 
 // compactIfBloatedLocked rewrites the journal once it carries more
 // than four times its live size past the floor (store.Log.Bloated).
 // Every job costs at least three records (submitted, started,
-// terminal) and keeps one, so without this a long-lived journal grows
-// without bound. Callers run it after the job table reflects the
-// record just appended. A failed rewrite leaves the old journal in
-// place and is counted like a failed append. Caller holds q.mu.
+// terminal) and keeps one only while it is live, so without this a
+// long-lived journal grows without bound. Callers run it after the
+// job table reflects the record just appended. A failed rewrite leaves
+// the old journal in place and is counted like a failed append.
+// Caller holds q.mu.
 func (q *Queue) compactIfBloatedLocked() {
 	if q.log.Bloated(q.live) {
 		if err := q.compactLocked(); err != nil {

@@ -16,19 +16,24 @@
 // trace.QueueRecordJSON state transitions — submitted, started, done,
 // failed — replayed on Open with the same longest-clean-prefix
 // recovery and torn-tail truncation as the schedule store, and
-// compacted to one record per job once it outgrows its live set. The
-// replay rules make crash safety a non-event:
+// compacted to the submitted records of its live jobs once it
+// outgrows them. The replay rules make crash safety a non-event:
 //
 //   - A submitted record with no terminal record is a pending job,
 //     whether or not a started record follows it — a crash (or
 //     graceful shutdown) mid-solve costs the work in flight, never
 //     the job. Shutdown therefore "checkpoints" running jobs back to
 //     pending simply by writing nothing.
-//   - A done or failed record is terminal and wins forever: replay
-//     ignores any later record for that fingerprint, so a job whose
-//     done record survived can never be resurrected or duplicated.
+//   - A done or failed record ends only the job that the submitted
+//     record before it opened, so a job whose terminal record
+//     survived can never be resurrected; a later submitted record
+//     for the same fingerprint opens a new job.
 //   - Submitted records embed the model (validated at decode time),
 //     so a recovered job is always executable.
+//
+// A finished job is remembered until the next compaction, which
+// forgets it: a decided verdict's home is the LRU and the store, so
+// the queue holds only live work, drained in submission order.
 //
 // The queue stores verdicts, not schedules: a completed job's
 // schedule is served by re-requesting the class synchronously, which
@@ -37,7 +42,6 @@
 package queue
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -109,15 +113,6 @@ type Options struct {
 	NoSync bool
 }
 
-// SubmitOptions order a job within the drain schedule.
-type SubmitOptions struct {
-	// Priority drains higher values first.
-	Priority int
-	// Deadline, when nonzero, drains earlier deadlines first within a
-	// priority band (EDF). Zero means "no deadline" and sorts last.
-	Deadline time.Time
-}
-
 // Status is a point-in-time snapshot of one job.
 type Status struct {
 	// ID is the job handle: the canonical model fingerprint.
@@ -130,17 +125,9 @@ type Status struct {
 	Err string
 	// SubmitUnix is the submission time (seconds).
 	SubmitUnix int64
-	// Priority echoes the submit option.
-	Priority int
 	// Resubmitted reports whether this Submit deduplicated onto an
 	// already-known job instead of creating one.
 	Resubmitted bool
-}
-
-// DeadlineExpired reports whether the job failed because its deadline
-// passed before a worker reached it.
-func (s *Status) DeadlineExpired() bool {
-	return s.State == Failed && s.Err == ErrDeadlineExpired.Error()
 }
 
 // Stats is the queue's counter/gauge snapshot.
@@ -149,7 +136,6 @@ type Stats struct {
 	Deduped       int64 // Submits answered by an existing job
 	Completed     int64 // jobs that reached Done
 	Failed        int64 // jobs that reached Failed
-	Expired       int64 // of Failed: jobs whose deadline passed before draining
 	Resumed       int64 // pending jobs recovered by Open's replay
 	Replayed      int64 // journal records accepted by Open's replay
 	CorruptTail   int64 // torn/corrupt tail truncation events at Open
@@ -163,8 +149,6 @@ type Stats struct {
 type job struct {
 	id         string
 	model      *core.Model
-	priority   int
-	deadline   int64 // unix seconds; 0 = none
 	seq        uint64
 	submitUnix int64
 	submitted  time.Time // monotonic-capable local clock for age/latency
@@ -174,71 +158,27 @@ type job struct {
 	errMsg  string
 	started bool          // a started record was seen (replay: crash mid-solve)
 	done    chan struct{} // closed at terminal state
-	liveLen int64         // framed bytes of the record Compact keeps for the job
+	liveLen int64         // framed bytes of the submitted record Compact keeps; 0 once terminal
 }
 
 // snapshot renders the job under the queue lock.
 func (j *job) snapshot() *Status {
 	return &Status{
 		ID: j.id, State: j.state, Verdict: j.verdict, Err: j.errMsg,
-		SubmitUnix: j.submitUnix, Priority: j.priority,
+		SubmitUnix: j.submitUnix,
 	}
-}
-
-// pendingHeap orders pending jobs: priority desc, then deadline asc
-// (zero = +inf), then submission order.
-type pendingHeap []*job
-
-func (h pendingHeap) Len() int { return len(h) }
-func (h pendingHeap) Less(a, b int) bool {
-	x, y := h[a], h[b]
-	if x.priority != y.priority {
-		return x.priority > y.priority
-	}
-	xd, yd := x.deadline, y.deadline
-	if xd == 0 {
-		xd = 1<<63 - 1
-	}
-	if yd == 0 {
-		yd = 1<<63 - 1
-	}
-	if xd != yd {
-		return xd < yd
-	}
-	return x.seq < y.seq
-}
-func (h pendingHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
-func (h *pendingHeap) Push(x any)   { *h = append(*h, x.(*job)) }
-func (h *pendingHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return x
 }
 
 // ErrClosed reports an operation on a closed queue.
 var ErrClosed = errors.New("queue: closed")
 
-// ErrDeadlineExpired is the failure reason of a job whose submit-time
-// deadline passed before a worker reached it. The deadline already
-// ordered the drain (EDF within a priority band); enforcement makes
-// it a contract: a late answer to a real-time question is not an
-// answer, so an expired job fails fast at drain time — the solver is
-// never invoked — instead of silently burning exponential search
-// budget on a verdict nobody can use. Expired jobs are terminal
-// failures with this error as their Err, distinguishable by
-// Status.DeadlineExpired.
-var ErrDeadlineExpired = errors.New("queue: deadline expired before the job was solved")
-
 // Submit journals a job for m and returns its status. Submission is
 // deduplicated by canonical fingerprint: if a job for m's isomorphism
-// class already exists — pending, running, or terminal — that job's
-// status is returned with Resubmitted set and nothing is written. A
-// job only exists once its submitted record is durably journaled, so
-// an accepted handle survives any crash.
-func (q *Queue) Submit(m *core.Model, opt SubmitOptions) (*Status, error) {
+// class is known — pending, running, or terminal and not yet
+// compacted away — that job's status is returned with Resubmitted set
+// and nothing is written. A job only exists once its submitted record
+// is durably journaled, so an accepted handle survives any crash.
+func (q *Queue) Submit(m *core.Model) (*Status, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
@@ -247,11 +187,7 @@ func (q *Queue) Submit(m *core.Model, opt SubmitOptions) (*Status, error) {
 		Type:        trace.QueueSubmitted,
 		Fingerprint: fp,
 		Unix:        time.Now().Unix(),
-		Priority:    opt.Priority,
 		Model:       trace.NewModelJSON(m),
-	}
-	if !opt.Deadline.IsZero() {
-		rec.DeadlineUnix = opt.Deadline.Unix()
 	}
 
 	q.mu.Lock()
@@ -273,20 +209,20 @@ func (q *Queue) Submit(m *core.Model, opt SubmitOptions) (*Status, error) {
 	}
 	q.seq++
 	j := &job{
-		id: fp, model: m, priority: opt.Priority, deadline: rec.DeadlineUnix,
-		seq: q.seq, submitUnix: rec.Unix, submitted: time.Now(),
+		id: fp, model: m, seq: q.seq, submitUnix: rec.Unix, submitted: time.Now(),
 		state: Pending, done: make(chan struct{}),
 	}
 	q.jobs[fp] = j
 	q.setLive(j, n)
-	heap.Push(&q.pending, j)
+	q.pending = append(q.pending, j)
 	q.submitted++
 	q.compactIfBloatedLocked()
 	q.cond.Signal()
 	return j.snapshot(), nil
 }
 
-// Get returns the job's status, if it exists.
+// Get returns the job's status, if it is known. A finished job is
+// known until the next compaction.
 func (q *Queue) Get(id string) (*Status, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -338,7 +274,7 @@ func (q *Queue) Stats() Stats {
 	defer q.mu.Unlock()
 	s := Stats{
 		Submitted: q.submitted, Deduped: q.deduped,
-		Completed: q.completed, Failed: q.failed, Expired: q.expired,
+		Completed: q.completed, Failed: q.failed,
 		Resumed: q.resumed, Replayed: q.replayed,
 		CorruptTail: q.corruptTail, JournalErrors: q.journalErrors,
 		Depth: int64(len(q.pending)), Running: q.running,

@@ -66,7 +66,7 @@ func TestQueueSubmitDrainDedup(t *testing.T) {
 	const n = 5
 	ids := make([]string, n)
 	for i := 0; i < n; i++ {
-		st, err := q.Submit(testModel(i), SubmitOptions{})
+		st, err := q.Submit(testModel(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func TestQueueSubmitDrainDedup(t *testing.T) {
 	}
 	// duplicate submissions dedup onto the existing jobs
 	for i := 0; i < n; i++ {
-		st, err := q.Submit(testModel(i), SubmitOptions{})
+		st, err := q.Submit(testModel(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,31 +103,30 @@ func TestQueueSubmitDrainDedup(t *testing.T) {
 	}
 }
 
+// TestQueueDrainOrder pins FIFO draining: one worker takes jobs in
+// submission order, across a restart too — replayed jobs keep their
+// journal order and drain before anything submitted after the reopen.
 func TestQueueDrainOrder(t *testing.T) {
-	q := openQ(t, t.TempDir(), 1)
-	now := time.Now()
-	// submitted before Start so the single worker observes the full
-	// heap: priority desc, then deadline asc (zero = last), then FIFO
-	subs := []struct {
-		i    int
-		opt  SubmitOptions
-		rank int
-	}{
-		{0, SubmitOptions{}, 4},                                            // no priority, no deadline: last (earlier seq than #4)
-		{1, SubmitOptions{Priority: 2}, 0},                                 // highest priority
-		{2, SubmitOptions{Priority: 1, Deadline: now.Add(time.Hour)}, 2},   // later deadline
-		{3, SubmitOptions{Priority: 1, Deadline: now.Add(time.Minute)}, 1}, // earliest deadline in band
-		{4, SubmitOptions{}, 5},
-		{5, SubmitOptions{Priority: 1}, 3}, // in band, no deadline: after dated peers
-	}
-	want := make([]string, len(subs))
-	for _, s := range subs {
-		st, err := q.Submit(testModel(s.i), SubmitOptions{Priority: s.opt.Priority, Deadline: s.opt.Deadline})
-		if err != nil {
-			t.Fatal(err)
+	dir := t.TempDir()
+	var want []string
+	submit := func(q *Queue, classes ...int) {
+		for _, i := range classes {
+			st, err := q.Submit(testModel(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, st.ID)
 		}
-		want[s.rank] = st.ID
 	}
+	q1 := openQ(t, dir, 0)
+	submit(q1, 4, 0, 5)
+	if err := q1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// submitted before Start so the single worker sees every job
+	q := openQ(t, dir, 1)
+	submit(q, 2, 7, 1)
 	solver := &instantSolver{}
 	q.Start(solver.solve)
 	for _, id := range want {
@@ -151,7 +150,7 @@ func TestQueueReopenResumesPending(t *testing.T) {
 	q1 := openQ(t, dir, 0) // no workers: everything stays pending
 	var ids []string
 	for i := 0; i < 3; i++ {
-		st, err := q1.Submit(testModel(i), SubmitOptions{})
+		st, err := q1.Submit(testModel(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +184,7 @@ func TestQueueReopenResumesPending(t *testing.T) {
 	if s := q3.Stats(); s.Depth != 0 {
 		t.Fatalf("terminal jobs resurrected: %+v", s)
 	}
-	st, err := q3.Submit(testModel(0), SubmitOptions{})
+	st, err := q3.Submit(testModel(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +205,7 @@ func TestQueueCloseCheckpointsRunning(t *testing.T) {
 		<-ctx.Done() // solve "forever" until shutdown
 		return Verdict{}, ctx.Err()
 	})
-	st, err := q.Submit(testModel(0), SubmitOptions{})
+	st, err := q.Submit(testModel(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +251,7 @@ func TestQueueSolverOutcomes(t *testing.T) {
 		{2, Failed, "undecided: solve budget exhausted"},
 	}
 	for _, c := range cases {
-		st, err := q.Submit(testModel(c.i), SubmitOptions{})
+		st, err := q.Submit(testModel(c.i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +267,7 @@ func TestQueueSolverOutcomes(t *testing.T) {
 
 func TestQueueWaitAndGetContract(t *testing.T) {
 	q := openQ(t, t.TempDir(), 0) // nothing drains: Wait must time out
-	st, err := q.Submit(testModel(0), SubmitOptions{})
+	st, err := q.Submit(testModel(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +299,7 @@ func TestQueueClosedOps(t *testing.T) {
 	if err := q.Close(); err != nil {
 		t.Fatalf("double close: %v", err)
 	}
-	if _, err := q.Submit(testModel(0), SubmitOptions{}); !errors.Is(err, ErrClosed) {
+	if _, err := q.Submit(testModel(0)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit on closed queue: %v", err)
 	}
 }
@@ -313,7 +312,7 @@ func TestQueueSubmitRejectsInvalid(t *testing.T) {
 		Name: "c", Task: core.ChainTask("a"),
 		Period: 3, Deadline: 0, Kind: core.Asynchronous, // non-positive deadline: invalid
 	})
-	if _, err := q.Submit(m, SubmitOptions{}); err == nil {
+	if _, err := q.Submit(m); err == nil {
 		t.Fatal("invalid model accepted")
 	}
 	if q.Bytes() != 0 {

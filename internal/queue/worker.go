@@ -1,8 +1,8 @@
 package queue
 
 import (
-	"container/heap"
 	"context"
+	"slices"
 	"sync"
 	"time"
 
@@ -18,7 +18,7 @@ type workerPool struct {
 }
 
 // Start spawns the worker pool (Options.Workers goroutines) draining
-// pending jobs through solve in priority/deadline order. With zero
+// pending jobs through solve in submission order. With zero
 // workers Start is a no-op: the queue accepts and persists jobs but
 // drains nothing — a later process (or test) with workers picks them
 // up. Start may be called once per Queue.
@@ -36,9 +36,9 @@ func (q *Queue) Start(solve Solver) {
 	}
 }
 
-// drain is one worker: pop the most urgent pending job, journal
-// started, solve, journal the terminal record, notify waiters;
-// repeat until the queue closes.
+// drain is one worker: pop the oldest pending job, journal started,
+// solve, journal the terminal record, notify waiters; repeat until the
+// queue closes.
 func (q *Queue) drain(solve Solver) {
 	defer q.workers.wg.Done()
 	for {
@@ -50,15 +50,9 @@ func (q *Queue) drain(solve Solver) {
 			q.mu.Unlock()
 			return
 		}
-		j := heap.Pop(&q.pending).(*job)
-		if j.deadline != 0 && time.Now().Unix() > j.deadline {
-			// deadline enforcement: fail fast without invoking the
-			// solver — no started record, just the terminal one
-			q.expired++
-			q.terminalLocked(j, Failed, Verdict{}, ErrDeadlineExpired.Error())
-			q.mu.Unlock()
-			continue
-		}
+		j := q.pending[0]
+		q.pending[0] = nil
+		q.pending = q.pending[1:]
 		j.state = Running
 		q.running++
 		q.transitionLocked(&trace.QueueRecordJSON{
@@ -77,16 +71,15 @@ func (q *Queue) drain(solve Solver) {
 			// memory for observers, and on disk by virtue of having no
 			// terminal record. The next Open resumes it.
 			j.state = Pending
-			heap.Push(&q.pending, j)
+			q.pending = slices.Insert(q.pending, 0, j)
 			q.mu.Unlock()
 			return
 		case err != nil:
 			q.terminalLocked(j, Failed, Verdict{}, err.Error())
 		case !v.Decided:
 			// the solver's budget ran out without a verdict: terminal,
-			// honestly reported — clients can resubmit against a bigger
-			// budget deployment, the journal will accept a fresh job
-			// only after this one is compacted away
+			// honestly reported — a resubmission dedups onto this job
+			// until compaction forgets it, then opens a fresh one
 			q.terminalLocked(j, Failed, Verdict{}, "undecided: solve budget exhausted")
 		default:
 			q.terminalLocked(j, Done, v, "")
@@ -109,15 +102,20 @@ func (q *Queue) terminalLocked(j *job, st State, v Verdict, errMsg string) {
 		rec.Error = errMsg
 		q.failed++
 	}
-	n := q.transitionLocked(rec)
+	q.transitionLocked(rec)
+	q.endLocked(j, st, v, errMsg)
+	q.compactIfBloatedLocked()
+}
+
+// endLocked ends a job in memory: it records the outcome, releases
+// waiters and stops counting toward the live set, so the next
+// compaction forgets it. Caller holds q.mu (or is Open's replay).
+func (q *Queue) endLocked(j *job, st State, v Verdict, errMsg string) {
 	j.state = st
 	j.verdict = v
 	j.errMsg = errMsg
 	close(j.done)
-	if n > 0 {
-		q.setLive(j, n)
-	}
-	q.compactIfBloatedLocked()
+	q.setLive(j, 0)
 }
 
 // Close stops the worker pool (canceling in-flight solves, which

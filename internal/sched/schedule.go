@@ -27,11 +27,6 @@ func New(slots ...string) *Schedule {
 	return &Schedule{Slots: s}
 }
 
-// NewIdle returns an all-idle schedule of length n.
-func NewIdle(n int) *Schedule {
-	return &Schedule{Slots: make([]string, n)}
-}
-
 // Len returns the schedule length (the cycle of the round-robin
 // scheduler).
 func (s *Schedule) Len() int { return len(s.Slots) }

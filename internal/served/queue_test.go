@@ -1,7 +1,9 @@
 package served
 
 import (
+	"context"
 	"encoding/json"
+	"maps"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -296,5 +298,89 @@ func TestServedQueueWarmRestart(t *testing.T) {
 		if st, ok := q3.Get(id); !ok || st.State != queue.Done {
 			t.Fatalf("life 3 job %s: %+v", id[:8], st)
 		}
+	}
+}
+
+// TestServedJobAfterCompaction pins GET /job/<id> for a job the queue
+// has forgotten: while the class is resident in this node's LRU the
+// answer is "done" with its verdict (with or without ?wait=, and
+// counting nothing), after eviction it is 404 even though the store
+// still holds the record, and a class this node holds only as a
+// feasible record imported from a peer is 404 too.
+func TestServedJobAfterCompaction(t *testing.T) {
+	q, err := queue.Open(t.TempDir(), queue.Options{Workers: 1, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	srv, svc := newTestServerOpts(t, service.Options{
+		Queue: q, Store: st, CacheSize: 1, CacheShards: 1,
+	}, 1<<20)
+
+	_, job := postAsync(t, srv.URL, exampleSpec)
+	_, final := getJob(t, srv.URL, job.Job, "15s")
+	if final.State != "done" || !final.Feasible || final.Source == "" {
+		t.Fatalf("job before compaction: %+v", final)
+	}
+	if err := q.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := q.Get(job.Job); ok {
+		t.Fatal("compaction kept the finished job")
+	}
+
+	before := svc.Metrics().Snapshot()
+	for _, wait := range []string{"", "5s"} {
+		resp, got := getJob(t, srv.URL, job.Job, wait)
+		if resp.StatusCode != http.StatusOK || got != (jobResponse{
+			Job: job.Job, State: "done", Decided: true, Feasible: true, Source: final.Source,
+		}) {
+			t.Fatalf("forgotten job, wait=%q: %d %+v", wait, resp.StatusCode, got)
+		}
+	}
+	if after := svc.Metrics().Snapshot(); !maps.Equal(before, after) {
+		t.Fatalf("the LRU fallback counted metrics:\nbefore %v\nafter  %v", before, after)
+	}
+
+	// a second class fills the one-entry LRU; the store still holds
+	// the first, but /job never answers from the store
+	if resp, _ := postSpec(t, srv.URL, auxSpec); resp.StatusCode != http.StatusOK {
+		t.Fatalf("aux solve: %d", resp.StatusCode)
+	}
+	if _, ok := st.Get(job.Job); !ok {
+		t.Fatal("the store lost the first class")
+	}
+	if resp, _ := getJob(t, srv.URL, job.Job, ""); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("forgotten job after eviction: status = %d, want 404", resp.StatusCode)
+	}
+
+	// a feasible record imported from a peer, never verified here
+	sp, err := spec.Parse(thirdSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peerStore, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peerStore.Close()
+	if _, err := service.New(service.Options{Store: peerStore}).Schedule(context.Background(), sp.Model); err != nil {
+		t.Fatal(err)
+	}
+	fp := core.Fingerprint(sp.Model)
+	seg, n, err := peerStore.ExportRecords([]string{fp})
+	if err != nil || n != 1 {
+		t.Fatalf("peer export: %d records, %v", n, err)
+	}
+	if stats, err := st.ImportFrames(seg); err != nil || stats.Imported != 1 {
+		t.Fatalf("import: %+v, %v", stats, err)
+	}
+	if resp, _ := getJob(t, srv.URL, fp, ""); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("imported-only class: status = %d, want 404", resp.StatusCode)
 	}
 }

@@ -195,9 +195,11 @@ const maxJobWait = 30 * time.Second
 // handleJob serves job status: GET /job/<id> returns the current
 // state; ?wait=10s long-polls until the job is terminal or the wait
 // expires (the poll-vs-push middle ground that costs one goroutine,
-// not one connection per retry loop). In cluster mode a job unknown
-// locally is looked up at its shard owner — the job ID is the
-// canonical fingerprint, so routing needs no extra state.
+// not one connection per retry loop). A job unknown locally is looked
+// up at its shard owner in cluster mode — the job ID is the canonical
+// fingerprint, so routing needs no extra state — and otherwise
+// answered from this node's LRU, since a finished job is forgotten at
+// the queue's next compaction while its verdict stays resident.
 func (d *Daemon) handleJob(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET /job/<id>", http.StatusMethodNotAllowed)
@@ -208,42 +210,40 @@ func (d *Daemon) handleJob(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "GET /job/<id>", http.StatusBadRequest)
 		return
 	}
+	var wait time.Duration
+	if waitStr := r.URL.Query().Get("wait"); waitStr != "" {
+		var err error
+		if wait, err = time.ParseDuration(waitStr); err != nil || wait < 0 {
+			http.Error(w, "bad wait duration", http.StatusBadRequest)
+			return
+		}
+		wait = min(wait, maxJobWait)
+	}
 	q := d.svc.Queue()
 	var js *queue.Status
-	var ok bool
 	if q != nil {
-		js, ok = q.Get(id)
+		// one lookup that holds the job for the whole poll: Wait
+		// returns its final status, or the current one when the poll
+		// budget (zero without ?wait=) expires, even if a compaction
+		// forgets the job meanwhile
+		ctx, cancel := context.WithTimeout(r.Context(), wait)
+		defer cancel()
+		js, _ = q.Wait(ctx, id)
 	}
-	if !ok && d.forwardJob(w, r, id) {
+	if js == nil && d.forwardJob(w, r, id) {
 		return
 	}
 	if q == nil {
 		http.Error(w, "async solve queue not enabled (-queue-dir)", http.StatusNotFound)
 		return
 	}
-	if !ok {
-		http.Error(w, "no such job", http.StatusNotFound)
-		return
-	}
-	if waitStr := r.URL.Query().Get("wait"); waitStr != "" && !js.State.Terminal() {
-		wait, err := time.ParseDuration(waitStr)
-		if err != nil || wait < 0 {
-			http.Error(w, "bad wait duration", http.StatusBadRequest)
-			return
-		}
-		if wait > maxJobWait {
-			wait = maxJobWait
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), wait)
-		defer cancel()
-		// Wait returns the final status, or the current one with
-		// ctx.Err() when the poll budget expires — either way the
-		// client gets a fresh snapshot
-		js, _ = q.Wait(ctx, id)
-		if js == nil {
+	if js == nil {
+		v, ok := d.svc.Resident(id)
+		if !ok {
 			http.Error(w, "no such job", http.StatusNotFound)
 			return
 		}
+		js = &queue.Status{ID: id, State: queue.Done, Verdict: v}
 	}
 	writeJob(w, js, http.StatusOK)
 }
@@ -323,7 +323,7 @@ func (d *Daemon) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	// is journaled and answered 202 immediately (dedup by fingerprint
 	// makes re-posting an already-known class free)
 	if r.URL.Query().Get("async") == "1" && d.svc.Queue() != nil {
-		js, err := d.svc.Enqueue(sp.Model, queue.SubmitOptions{})
+		js, err := d.svc.Enqueue(sp.Model)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusServiceUnavailable)
 			return

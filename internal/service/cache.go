@@ -98,6 +98,14 @@ func (c *lruCache) get(key string) *entry {
 	return el.Value.(*entry)
 }
 
+// peek returns the entry for key without touching it, or nil.
+func (c *lruCache) peek(key string) *entry {
+	if el, ok := c.items[key]; ok {
+		return el.Value.(*entry)
+	}
+	return nil
+}
+
 // add inserts or refreshes an entry and reports how many entries were
 // evicted to stay within capacity.
 func (c *lruCache) add(e *entry) int {

@@ -97,7 +97,7 @@ func TestQueueSoakUnderRace(t *testing.T) {
 				var job *queue.Status
 				var err error
 				if g%2 == 1 {
-					job, err = svc.Enqueue(m, queue.SubmitOptions{})
+					job, err = svc.Enqueue(m)
 				} else {
 					res, job, err = svc.ScheduleOrEnqueue(ctx, m)
 				}

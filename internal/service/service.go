@@ -269,11 +269,11 @@ func (s *Service) solveQueued(ctx context.Context, m *core.Model) (queue.Verdict
 // synchronous solve, deduplicated by canonical fingerprint. Callers
 // use it for explicitly-async requests; ScheduleOrEnqueue uses it
 // when the synchronous path sheds.
-func (s *Service) Enqueue(m *core.Model, opt queue.SubmitOptions) (*queue.Status, error) {
+func (s *Service) Enqueue(m *core.Model) (*queue.Status, error) {
 	if s.opt.Queue == nil {
 		return nil, fmt.Errorf("service: no queue attached")
 	}
-	st, err := s.opt.Queue.Submit(m, opt)
+	st, err := s.opt.Queue.Submit(m)
 	if err != nil {
 		return nil, err
 	}
@@ -295,13 +295,31 @@ func (s *Service) ScheduleOrEnqueue(ctx context.Context, m *core.Model) (*Result
 	if !errors.Is(err, ErrOverloaded) || s.opt.Queue == nil {
 		return nil, nil, err
 	}
-	js, qerr := s.Enqueue(m, queue.SubmitOptions{})
+	js, qerr := s.Enqueue(m)
 	if qerr != nil {
 		// the queue could not durably accept the job; the honest
 		// answer is the original backpressure signal
 		return nil, nil, err
 	}
 	return nil, js, nil
+}
+
+// Resident returns the verdict the LRU holds for the class with
+// fingerprint fp — the answer to a poll for a job the queue has
+// already forgotten. It neither refreshes the entry's recency nor
+// counts anything in Metrics, so the tier sums are untouched. It never
+// reads the store: a feasible record there may be a peer's import
+// that no model has re-verified, while an LRU entry was decided or
+// re-checked on this node.
+func (s *Service) Resident(fp string) (queue.Verdict, bool) {
+	sh := s.cache.shard(fp)
+	sh.mu.Lock()
+	e := sh.lru.peek(fp)
+	sh.mu.Unlock()
+	if e == nil {
+		return queue.Verdict{}, false
+	}
+	return queue.Verdict{Decided: true, Feasible: e.feasible, Source: e.source}, true
 }
 
 // Metrics exposes the service counters.

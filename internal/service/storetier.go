@@ -78,7 +78,6 @@ func (s *Service) Snapshot() map[string]int64 {
 		snap["queue_deduped"] = qs.Deduped
 		snap["queue_completed"] = qs.Completed
 		snap["queue_failed"] = qs.Failed
-		snap["queue_expired"] = qs.Expired
 		snap["queue_resumed"] = qs.Resumed
 		snap["queue_corrupt_skipped"] = qs.CorruptTail
 		snap["queue_journal_errors"] = qs.JournalErrors

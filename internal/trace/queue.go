@@ -37,20 +37,17 @@ var queueSources = map[string]bool{
 
 // QueueRecordJSON is one queue journal record. Which fields are
 // meaningful depends on Type; Validate enforces the shape per type.
+// Submitted records written with the retired "priority" and
+// "deadlineUnix" keys still decode: encoding/json ignores unknown keys.
 type QueueRecordJSON struct {
 	// Type is one of QueueSubmitted/QueueStarted/QueueDone/QueueFailed.
 	Type string `json:"type"`
 	// Fingerprint is the job's canonical model fingerprint — the job
-	// ID. Dedup is content addressing: one fingerprint, one job.
+	// ID. Dedup is content addressing: one fingerprint, one live job.
 	Fingerprint string `json:"fingerprint"`
 	// Unix is the record's creation time in seconds (informational).
 	Unix int64 `json:"unix,omitempty"`
 
-	// Priority orders draining (higher first); submitted records only.
-	Priority int `json:"priority,omitempty"`
-	// DeadlineUnix is an optional client deadline (seconds; earlier
-	// drains first within a priority band); submitted records only.
-	DeadlineUnix int64 `json:"deadlineUnix,omitempty"`
 	// Model is the submitted workload; submitted records only. It must
 	// reconstruct to a valid model — a submitted record whose model
 	// does not validate is rejected at decode time, so replay never
