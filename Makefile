@@ -21,9 +21,11 @@ vet:
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
 
-# Worker-count sweep for the parallel exact search (EXPERIMENTS.md §E2b).
+# The parallel exact search against the sequential one on the layered
+# classes that reach it, at one and two cores (EXPERIMENTS.md, "Exact
+# search performance"). Five runs of each, for medians.
 bench-parallel:
-	$(GO) test -run xxx -bench BenchmarkExactParallel -benchtime 20x .
+	$(GO) test -run xxx -bench BenchmarkExactCorpus -cpu 1,2 -benchtime 3x -count 5 ./internal/service/
 
 # Run the scheduling daemon (cmd/rtserved) with defaults.
 serve:

@@ -12,7 +12,6 @@ package rtm
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"rtm/internal/core"
@@ -74,39 +73,6 @@ func BenchmarkE2ExactSearch(b *testing.B) {
 				_, _, err := exact.FindSchedule(m, exact.Options{MaxLen: 8})
 				if err != nil && err != exact.ErrNotFound {
 					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkExactParallel sweeps the exact searcher's worker count on
-// an E2-style infeasible hardness instance (deadline density exactly
-// 1, so every length up to the bound is exhausted — the worst case
-// for the search and the best case for the fan-out, since no
-// cancellation cuts the speculative subtrees short).
-func BenchmarkExactParallel(b *testing.B) {
-	m := core.NewModel()
-	for i, d := range []int{2, 4, 8, 12, 24} {
-		e := fmt.Sprintf("e%d", i)
-		m.Comm.AddElement(e, 1)
-		m.AddConstraint(&core.Constraint{
-			Name: fmt.Sprintf("C%d", i), Task: core.ChainTask(e),
-			Period: d, Deadline: d, Kind: core.Asynchronous,
-		})
-	}
-	seen := map[int]bool{}
-	for _, w := range []int{1, 2, 4, runtime.NumCPU()} {
-		if seen[w] {
-			continue
-		}
-		seen[w] = true
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_, _, err := exact.FindSchedule(m, exact.Options{MaxLen: 24, Workers: w})
-				if err != exact.ErrNotFound {
-					b.Fatalf("expected exhaustion, got %v", err)
 				}
 			}
 		})

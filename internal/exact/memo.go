@@ -51,14 +51,9 @@ func (t *memoTable) Seed(sigs [][]byte) int {
 // count, so under a size cap the deepest (largest-subtree) refutations
 // survive first, and the order is deterministic.
 func (t *memoTable) Snapshot() [][]byte {
-	var out [][]byte
-	for i := range t.stripes {
-		s := &t.stripes[i]
-		s.mu.Lock()
-		for sig := range s.m {
-			out = append(out, []byte(sig))
-		}
-		s.mu.Unlock()
+	out := make([][]byte, 0, len(t.m))
+	for sig := range t.m {
+		out = append(out, []byte(sig))
 	}
 	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i], out[j]) > 0 })
 	return out

@@ -3,7 +3,6 @@ package exact
 import (
 	"encoding/binary"
 	"sort"
-	"sync"
 )
 
 // The three cooperating pruners (DESIGN.md §10). All of them are
@@ -36,58 +35,48 @@ import (
 // are cheaper to re-explore than to hash.
 const memoMinRemaining = 3
 
-// memoEntries bounds the transposition table. At typical signature
-// sizes this is a few tens of MB worst case.
+// memoEntries bounds the transposition table of a search (split
+// evenly among its workers' tables). At typical signature sizes this
+// is a few tens of MB worst case.
 const memoEntries = 1 << 18
 
-// memoStripes is the stripe count of the shared (locked) table used
-// by the parallel search. The sequential search uses a single stripe.
-const memoStripes = 64
-
 // memoTable is a bounded set of residual-state signatures whose
-// subtrees are known to be empty (leaf-free exhausted). Stripes are
-// individually locked; a full stripe is cleared wholesale (the cheap
-// generational eviction — entries are pure caches, losing them only
-// costs re-exploration).
+// subtrees are known to be empty (leaf-free exhausted). Each search
+// worker owns one and probes and stores it without locks: measured
+// on two cores, sharing one locked table across workers cost more in
+// lock traffic than its cross-worker hits saved. A full table is
+// cleared wholesale (the cheap generational eviction — entries are
+// pure caches, losing them only costs re-exploration).
 //
 // A table may additionally carry a seeded set (Seed): signatures
 // imported from a previous search of the same memo class. The seeded
-// set is immutable once the search starts, so probes read it without
-// locking, and it is never evicted — imported refutations survive the
-// generational clears of the derived stripes.
+// set is immutable once the search starts, so every worker's table
+// reads the same one, and it is never evicted — imported refutations
+// survive the generational clears of the derived set.
 type memoTable struct {
-	stripes   []memoStripe
-	stripeCap int
-	seeded    map[string]struct{} // immutable during search; may be nil
+	m      map[string]struct{}
+	cap    int
+	seeded map[string]struct{} // immutable during search; may be nil
 }
 
-type memoStripe struct {
-	mu sync.Mutex
-	m  map[string]struct{}
+// newMemoTable returns an empty table holding a ways-th of
+// memoEntries: a search with ways workers gives each one such table.
+func newMemoTable(ways int) *memoTable {
+	return &memoTable{m: make(map[string]struct{}), cap: memoEntries / max(ways, 1)}
 }
 
-func newMemoTable(stripes int) *memoTable {
-	if stripes < 1 {
-		stripes = 1
-	}
-	t := &memoTable{stripes: make([]memoStripe, stripes), stripeCap: memoEntries / stripes}
-	for i := range t.stripes {
-		t.stripes[i].m = make(map[string]struct{})
-	}
-	return t
+// sibling returns an empty table of t's size that shares its seeded
+// set: another worker's table in the same search.
+func (t *memoTable) sibling() *memoTable {
+	return &memoTable{m: make(map[string]struct{}), cap: t.cap, seeded: t.seeded}
 }
 
-func (t *memoTable) stripeFor(sig []byte) *memoStripe {
-	if len(t.stripes) == 1 {
-		return &t.stripes[0]
+// absorb adds o's derived signatures to t, past t's bound: it merges
+// a finished worker's table for the snapshot.
+func (t *memoTable) absorb(o *memoTable) {
+	for sig := range o.m {
+		t.m[sig] = struct{}{}
 	}
-	// FNV-1a
-	h := uint32(2166136261)
-	for _, b := range sig {
-		h ^= uint32(b)
-		h *= 16777619
-	}
-	return &t.stripes[h%uint32(len(t.stripes))]
 }
 
 // probe outcomes. Derived and seeded hits license the identical prune;
@@ -99,19 +88,14 @@ const (
 )
 
 // probe reports whether sig is a known-empty subtree, and whether the
-// refutation was derived this search or imported via Seed. The seeded
-// set is checked first and lock-free (it is immutable during search).
+// refutation was derived this search or imported via Seed.
 func (t *memoTable) probe(sig []byte) int {
 	if t.seeded != nil {
 		if _, ok := t.seeded[string(sig)]; ok { // no-alloc map lookup
 			return memoHitSeeded
 		}
 	}
-	s := t.stripeFor(sig)
-	s.mu.Lock()
-	_, ok := s.m[string(sig)] // no-alloc map lookup
-	s.mu.Unlock()
-	if ok {
+	if _, ok := t.m[string(sig)]; ok { // no-alloc map lookup
 		return memoHitDerived
 	}
 	return memoMiss
@@ -119,18 +103,15 @@ func (t *memoTable) probe(sig []byte) int {
 
 // store records sig as a known-empty subtree. The presence check uses
 // the compiler-elided []byte→string lookup, so re-storing a signature
-// already present (the common case under the parallel barrier merge)
-// allocates nothing.
+// already present allocates nothing.
 func (t *memoTable) store(sig []byte) {
-	s := t.stripeFor(sig)
-	s.mu.Lock()
-	if _, ok := s.m[string(sig)]; !ok { // no-alloc when present
-		if len(s.m) >= t.stripeCap {
-			clear(s.m)
-		}
-		s.m[string(sig)] = struct{}{}
+	if _, ok := t.m[string(sig)]; ok { // no-alloc when present
+		return
 	}
-	s.mu.Unlock()
+	if len(t.m) >= t.cap {
+		clear(t.m)
+	}
+	t.m[string(sig)] = struct{}{}
 }
 
 // memoEligible reports whether the residual state at pos can be

@@ -12,11 +12,12 @@
 // per placement — that reject a prefix as soon as some
 // fully-determined deadline window lacks capacity for a constraint.
 //
-// With Options.Workers > 1 each schedule length is explored by a
-// worker pool over a prefix fan-out (see parallel.go). The result is
-// deterministic — the lexicographically first feasible schedule wins,
-// matching the sequential visiting order — although the Stats then
-// depend on how much speculative work ran before cancellation.
+// With Options.Workers > 1 a large search is shared with helper
+// goroutines that steal untried sibling ranges (see parallel.go). The
+// result is deterministic — the lexicographically first feasible
+// schedule wins, matching the sequential visiting order — although a
+// search that finds one also counts the speculative work that ran
+// before cancellation.
 package exact
 
 import (
@@ -41,20 +42,21 @@ type Options struct {
 	// executions are unpreempted blocks — the "cannot be pipelined"
 	// regime of Theorem 2(ii).
 	RequireContiguous bool
-	// Workers sets the number of parallel search workers per schedule
-	// length. 0 and 1 run the classic sequential search, whose
-	// schedule AND Stats are deterministic. Values > 1 fan the search
-	// out over that many goroutines; the returned schedule is still
-	// deterministic (lexicographically first), but NodesExplored and
-	// Candidates then count whatever speculative work ran before
-	// cancellation, and a budget abort (MaxCandidates) may trigger on
-	// a different candidate than the sequential order would. Negative
-	// values mean GOMAXPROCS.
+	// Workers sets the number of goroutines that search. 0 and 1 run
+	// the classic sequential search, whose schedule AND Stats are
+	// deterministic. Values > 1 start at most Workers−1 helpers per
+	// search, and only once the search has visited a few hundred
+	// nodes, so a small search runs alone on the calling goroutine.
+	// Idle workers steal part of a busy worker's untried siblings (see
+	// parallel.go). The returned schedule is still the sequential one
+	// (lexicographically first); an exhaustive search reports the
+	// sequential NodesExplored and Candidates, while a search that
+	// finds a schedule also counts the speculative work that ran
+	// before it. A budget abort (MaxCandidates) may trigger on a
+	// different candidate than the sequential order would. Negative
+	// values are rejected: callers that want all CPUs resolve
+	// GOMAXPROCS themselves.
 	Workers int
-	// SplitDepth overrides the prefix depth of the parallel fan-out.
-	// 0 picks the smallest depth whose prefix count is at least
-	// 4 × Workers. Ignored when the search runs sequentially.
-	SplitDepth int
 	// The three pruners (DESIGN.md §10) are ON by default; each can
 	// be disabled independently. All of them preserve the verdict and
 	// the lex-first witness exactly; with all three disabled the
@@ -88,17 +90,14 @@ func (e *BadOptionsError) Error() string {
 }
 
 // validate rejects malformed options with a typed error. Negative
-// Workers and SplitDepth are rejected rather than silently clamped:
-// callers that want "all CPUs" must resolve GOMAXPROCS themselves.
+// Workers are rejected rather than silently clamped: callers that
+// want "all CPUs" must resolve GOMAXPROCS themselves.
 func (opt Options) validate() error {
 	if opt.MaxLen <= 0 {
 		return &BadOptionsError{Field: "MaxLen", Value: opt.MaxLen}
 	}
 	if opt.Workers < 0 {
 		return &BadOptionsError{Field: "Workers", Value: opt.Workers}
-	}
-	if opt.SplitDepth < 0 {
-		return &BadOptionsError{Field: "SplitDepth", Value: opt.SplitDepth}
 	}
 	return nil
 }
@@ -149,7 +148,7 @@ func FindSchedule(m *core.Model, opt Options) (*sched.Schedule, *Stats, error) {
 }
 
 // FindScheduleCtx is FindSchedule under a context: the search polls
-// ctx between node batches (sequential) and cancels the worker pool
+// ctx between node batches (sequential) and stops the workers
 // (parallel) as soon as the context is done, returning ctx.Err()
 // alongside whatever stats had accumulated. A canceled search says
 // nothing about feasibility — like ErrBudget, the abort is an effort
@@ -176,11 +175,7 @@ func FindScheduleCtx(ctx context.Context, m *core.Model, opt Options) (*sched.Sc
 	// prunes the matching residual states at length n+1 for free.
 	var mt *memoTable
 	if p.memoOK {
-		stripes := 1
-		if workers > 1 {
-			stripes = memoStripes
-		}
-		mt = newMemoTable(stripes)
+		mt = newMemoTable(workers)
 		if len(opt.SeedMemo) > 0 {
 			st.MemoSeeded = mt.Seed(opt.SeedMemo)
 		}
@@ -191,6 +186,13 @@ func FindScheduleCtx(ctx context.Context, m *core.Model, opt Options) (*sched.Sc
 			defer func() { st.MemoSnapshot = mt.Snapshot() }()
 		}
 	}
+	var ps *pool
+	if workers > 1 {
+		// one pool for every length; closed (helpers stopped, their
+		// counts merged) before the memo snapshot above is taken
+		ps = newPool(ctx, p, workers, ck, mt, opt.MaxLen, opt.SnapshotMemo)
+		defer ps.close(st)
+	}
 	for n := minLen; n <= opt.MaxLen; n++ {
 		if err := ctx.Err(); err != nil {
 			return nil, st, err
@@ -198,8 +200,8 @@ func FindScheduleCtx(ctx context.Context, m *core.Model, opt Options) (*sched.Sc
 		st.LengthsTried = append(st.LengthsTried, n)
 		var s *sched.Schedule
 		var err error
-		if workers > 1 {
-			s, err = searchLengthParallel(ctx, p, n, workers, opt.SplitDepth, mt, st)
+		if ps != nil {
+			s, err = ps.searchLength(n, st)
 		} else {
 			s, err = searchLength(ctx, p, n, ck, mt, st)
 		}

@@ -247,52 +247,74 @@ type needRT struct {
 
 func newState(p *problem, n int, minCount []int, totalMin int, ck *sched.Checker) *state {
 	s := &state{
-		p:        p,
-		n:        n,
-		slots:    make([]int, n),
-		count:    make([]int, len(p.syms)),
-		minCount: minCount,
-		deficit:  totalMin,
-		ck:       ck,
+		p:     p,
+		count: make([]int, len(p.syms)),
+		needs: make([]needRT, len(p.needs)),
+		ck:    ck,
 	}
 	if ck != nil {
 		s.alpha = ck.Alphabet(p.syms)
 	}
-	s.needs = make([]needRT, len(p.needs))
 	for i := range p.needs {
 		spec := &p.needs[i]
-		rt := needRT{spec: spec, active: spec.d <= n}
-		if rt.active {
-			if spec.period == 0 {
-				rt.win = make([]int, len(spec.pairs))
-				rt.wrap = make([]int, len(spec.pairs))
-			} else {
-				rt.cum = make([]int, len(spec.pairs))
-				rt.snap = make([][]int, (n-1)/spec.period+1)
-				for j := range rt.snap {
-					rt.snap[j] = make([]int, len(spec.pairs))
-				}
-			}
+		if spec.period == 0 {
+			s.needs[i] = needRT{spec: spec, win: make([]int, len(spec.pairs)), wrap: make([]int, len(spec.pairs))}
+		} else {
+			s.needs[i] = needRT{spec: spec, cum: make([]int, len(spec.pairs))}
 		}
-		if rt.active {
-			s.activeMask |= 1 << uint(i&63)
-			if spec.period == 0 {
-				if spec.d > s.slideWin {
-					s.slideWin = spec.d
-				}
-			} else if spec.period > s.anchorGate {
-				s.anchorGate = spec.period
-			}
-		}
-		s.needs[i] = rt
-	}
-	if p.bounds && p.hasHall {
-		s.hallDelta = make([]int, n+1)
 	}
 	if p.memoOK {
 		s.acquireSigbuf()
 	}
+	s.reset(n, minCount, totalMin)
 	return s
+}
+
+// reset re-targets s at cycle length n with nothing placed, reusing
+// its buffers: a parallel worker keeps one state for the whole search.
+func (s *state) reset(n int, minCount []int, totalMin int) {
+	p := s.p
+	s.n = n
+	s.slots = resize(s.slots, n)
+	clear(s.count)
+	s.minCount = minCount
+	s.deficit = totalMin
+	s.slideWin, s.anchorGate, s.activeMask = 0, 0, 0
+	for i := range s.needs {
+		rt := &s.needs[i]
+		spec := rt.spec
+		rt.active = spec.d <= n
+		if !rt.active {
+			continue
+		}
+		s.activeMask |= 1 << uint(i&63)
+		if spec.period == 0 {
+			clear(rt.win)
+			s.slideWin = max(s.slideWin, spec.d)
+			continue
+		}
+		clear(rt.cum)
+		windows := (n-1)/spec.period + 1
+		for len(rt.snap) < windows {
+			rt.snap = append(rt.snap, make([]int, len(spec.pairs)))
+		}
+		rt.snap = rt.snap[:windows]
+		s.anchorGate = max(s.anchorGate, spec.period)
+	}
+	if p.bounds && p.hasHall {
+		s.hallDelta = resize(s.hallDelta, n+1)
+	}
+}
+
+// resize returns buf with length n and every element zero, reusing
+// its backing array when it is large enough.
+func resize(buf []int, n int) []int {
+	if cap(buf) < n {
+		return make([]int, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // place assigns sym to slot pos and updates every counter in O(pairs).

@@ -27,7 +27,7 @@ const corpusMaxLenCap = 24
 // play. The anchored band (periodic-heavy, period well above deadline)
 // holds windows that are each satisfiable but overloaded in aggregate,
 // which the analytic tier's demand sum refutes without search.
-func layeredCorpus(t *testing.T, seed int64, n int) []corpusClass {
+func layeredCorpus(t testing.TB, seed int64, n int) []corpusClass {
 	t.Helper()
 	regimes := []struct {
 		name                 string
